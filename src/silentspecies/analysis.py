@@ -9,16 +9,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyDataset
-from .estimators import RichnessEstimate, chao1, chao2, diversity_proxies
+from .estimators import RichnessEstimate, diversity_proxies, estimate
 from .stats import RegressionResult, pearson
-from .tally import (
-    ABUNDANCE,
-    AbundanceTally,
-    GroupedDataset,
-    IncidenceTally,
-    Tally,
-    spectrum,
-)
+from .tally import GroupedDataset, Tally, spectrum
 
 TOTAL_KEY = "Total"
 
@@ -43,35 +36,24 @@ class GroupReportRow:
 
 
 def merge_tallies(tallies: Sequence[Tally]) -> Tally:
-    """Pool tallies of one kind. Abundance counts are summed per species;
-    incidence counts and sample totals are summed (sampling sites are
-    disjoint across groups)."""
+    """Pool tallies of one mode: counts are summed per species and totals
+    are summed (in incidence mode, sampling sites are disjoint across
+    groups)."""
     if not tallies:
         raise EmptyDataset("nothing to merge")
-    if isinstance(tallies[0], AbundanceTally):
-        counts: dict[str, int] = {}
-        for t in tallies:
-            assert isinstance(t, AbundanceTally)
-            for species, c in t.counts.items():
-                counts[species] = counts.get(species, 0) + c
-        return AbundanceTally(counts, sum(counts.values()))
-    incidences: dict[str, int] = {}
-    m = 0
+    counts: dict[str, int] = {}
     for t in tallies:
-        assert isinstance(t, IncidenceTally)
-        for species, c in t.incidences.items():
-            incidences[species] = incidences.get(species, 0) + c
-        m += t.m
-    return IncidenceTally(incidences, m)
+        for species, c in t.counts.items():
+            counts[species] = counts.get(species, 0) + c
+    return Tally(counts, sum(t.total for t in tallies), tallies[0].mode)
 
 
 def estimate_tally(
     tally: Tally, small_sample_correction: bool = False
 ) -> RichnessEstimate:
     spec = spectrum(tally)
-    if spec.mode == ABUNDANCE:
-        return chao1(spec)
-    return chao2(spec, small_sample_correction)
+    return estimate(spec.s_obs, spec.f1, spec.f2, spec.mode, spec.n_or_m,
+                    small_sample_correction)
 
 
 def summarize(
@@ -118,9 +100,7 @@ def report(
 def _group_size(tally: Tally, size_by: str) -> int:
     if size_by == "types":
         return tally.types
-    if isinstance(tally, AbundanceTally):
-        return tally.n
-    return sum(tally.incidences.values())
+    return sum(tally.counts.values())
 
 
 def top_n(

@@ -23,8 +23,9 @@ from .tally import (
     INCIDENCE,
     ObservationRecord,
     group_by,
+    spectrum,
     tally_abundance,
-    tally_incidence,
+    tally_records,
 )
 from .version import __version__
 
@@ -46,6 +47,15 @@ def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
     if mode:
         parser.add_argument("--mode", choices=[ABUNDANCE, INCIDENCE],
                             default=ABUNDANCE)
+
+
+def _sizes(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accumulate",
                        help="subsample accumulation curve (abundance)")
     _add_common(p, mode=False)
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", required=True, type=_sizes,
                    help="comma-separated subsample sizes k")
     p.add_argument("--replicates", type=int, default=1000)
 
@@ -110,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--species", type=int, required=True)
-    p.add_argument("--tokens", type=int, help="abundance mode: tokens to draw")
-    p.add_argument("--sites", type=int, help="incidence mode: sites to draw")
+    draw = p.add_mutually_exclusive_group(required=True)
+    draw.add_argument("--tokens", type=int,
+                      help="abundance mode: tokens to draw")
+    draw.add_argument("--sites", type=int, help="incidence mode: sites to draw")
     p.add_argument("--per-site", type=int, default=100,
                    help="tokens per site in incidence mode")
     p.add_argument("--detection", type=float, default=1.0)
@@ -150,15 +162,12 @@ def _estimate_rows(args: argparse.Namespace,
             ascending=args.ascending,
             small_sample_correction=args.correction,
         )
-    tally_fn = tally_abundance if args.mode == ABUNDANCE else tally_incidence
-    return [analysis.summarize("all", tally_fn(records), args.correction)]
+    return [analysis.summarize("all", tally_records(records, args.mode),
+                               args.correction)]
 
 
 def _cmd_tally(args, meta) -> None:
-    from .tally import spectrum
-
-    tally_fn = tally_abundance if args.mode == ABUNDANCE else tally_incidence
-    spec = spectrum(tally_fn(_read_records(args)))
+    spec = spectrum(tally_records(_read_records(args), args.mode))
     _write(args, lambda f: io.write_spectrum_csv(spec, f, meta))
 
 
@@ -179,18 +188,14 @@ def _cmd_estimate(args, meta) -> None:
 
 
 def _cmd_accumulate(args, meta) -> None:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise SystemExit(2)
     tally = tally_abundance(_read_records(args))
-    points = resampling.accumulate(tally, sizes, args.replicates, args.seed)
+    points = resampling.accumulate(tally, args.sizes, args.replicates,
+                                   args.seed)
     _write(args, lambda f: io.write_accumulation_csv(points, f, meta))
 
 
 def _cmd_bootstrap(args, meta) -> None:
-    tally_fn = tally_abundance if args.mode == ABUNDANCE else tally_incidence
-    tally = tally_fn(_read_records(args))
+    tally = tally_records(_read_records(args), args.mode)
     results = resampling.bootstrap_ci(
         tally,
         replicates=args.replicates,
@@ -239,10 +244,6 @@ def _cmd_synth(args, meta) -> None:
             population, args.sites, args.per_site, args.detection, args.seed
         )
     else:
-        if args.tokens is None:
-            print("error: SchemaError: synth needs --tokens or --sites",
-                  file=sys.stderr)
-            raise SystemExit(2)
         tally = synth.sample(population, args.tokens, args.seed)
         records = [
             ObservationRecord("_default", species, count)
@@ -277,14 +278,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     )
     try:
         _HANDLERS[args.command](args, meta)
-    except SilentSpeciesError as exc:
+    except (SilentSpeciesError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
     return 0
 
 

@@ -11,25 +11,12 @@ S_obs / S_hat an upper bound on the fraction of species already observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InsufficientSamples
-from .tally import (
-    ABUNDANCE,
-    INCIDENCE,
-    AbundanceTally,
-    FrequencySpectrum,
-    IncidenceTally,
-    Tally,
-)
+from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally
 
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-    replicates: int
+_NAMES = {ABUNDANCE: "chao1", INCIDENCE: "chao2"}
 
 
 @dataclass(frozen=True)
@@ -43,14 +30,10 @@ class RichnessEstimate:
     s_hat: float
     coverage: float
     estimator_name: str
-    ci: ConfidenceInterval | None = None
 
     @property
     def used_fallback(self) -> bool:
         return self.estimator_name.endswith("-bc")
-
-    def with_ci(self, ci: ConfidenceInterval) -> "RichnessEstimate":
-        return replace(self, ci=ci)
 
 
 @dataclass(frozen=True)
@@ -77,18 +60,32 @@ def coverage_of(s_obs: float, s_hat: float) -> float:
     return s_obs / s_hat
 
 
-def _unseen(f1: int, f2: int) -> tuple[float, bool]:
-    """Estimated unseen species count and whether the f2=0 fallback fired."""
+def estimate(
+    s_obs: int,
+    f1: int,
+    f2: int,
+    mode: str,
+    m: int = 0,
+    correction: bool = False,
+) -> RichnessEstimate:
+    """Chao1 (abundance) or Chao2 (incidence) estimate from S_obs, f1, f2.
+
+    With `correction` in incidence mode the unseen-species estimate is
+    scaled by (m-1)/m, the standard small-sample factor for m samples.
+    Abundance mode ignores `correction` and `m`.
+    """
     if f1 == 0:
-        return 0.0, False
-    if f2 > 0:
-        return f1 * f1 / (2.0 * f2), False
-    return f1 * (f1 - 1) / 2.0, True
-
-
-def _estimate(s_obs: int, f1: int, f2: int, base_name: str) -> RichnessEstimate:
-    f0_hat, fallback = _unseen(f1, f2)
-    name = base_name + "-bc" if fallback else base_name
+        f0_hat, fallback = 0.0, False
+    elif f2 > 0:
+        f0_hat, fallback = f1 * f1 / (2.0 * f2), False
+    else:
+        f0_hat, fallback = f1 * (f1 - 1) / 2.0, True
+    if correction and mode == INCIDENCE:
+        if m < 2:
+            raise InsufficientSamples(
+                f"small-sample correction needs m >= 2, got m={m}"
+            )
+        f0_hat = f0_hat * (m - 1) / m
     s_hat = s_obs + f0_hat
     return RichnessEstimate(
         s_obs=s_obs,
@@ -97,20 +94,20 @@ def _estimate(s_obs: int, f1: int, f2: int, base_name: str) -> RichnessEstimate:
         f0_hat=f0_hat,
         s_hat=s_hat,
         coverage=coverage_of(s_obs, s_hat),
-        estimator_name=name,
+        estimator_name=_NAMES[mode] + ("-bc" if fallback else ""),
     )
 
 
 def chao1_counts(s_obs: int, f1: int, f2: int) -> RichnessEstimate:
     """Chao1 straight from (S_obs, f1, f2), e.g. published table rows."""
-    return _estimate(s_obs, f1, f2, "chao1")
+    return estimate(s_obs, f1, f2, ABUNDANCE)
 
 
 def chao1(spec: FrequencySpectrum) -> RichnessEstimate:
     """Abundance-based Chao estimate from a frequency spectrum."""
     if spec.mode != ABUNDANCE:
         raise ValueError("chao1 expects an abundance spectrum; use chao2")
-    return _estimate(spec.s_obs, spec.f1, spec.f2, "chao1")
+    return estimate(spec.s_obs, spec.f1, spec.f2, ABUNDANCE)
 
 
 def chao2(
@@ -125,37 +122,15 @@ def chao2(
     """
     if spec.mode != INCIDENCE:
         raise ValueError("chao2 expects an incidence spectrum; use chao1")
-    est = _estimate(spec.s_obs, spec.f1, spec.f2, "chao2")
-    if small_sample_correction:
-        m = spec.n_or_m
-        if m < 2:
-            raise InsufficientSamples(
-                f"small-sample correction needs m >= 2, got m={m}"
-            )
-        f0_hat = est.f0_hat * (m - 1) / m
-        s_hat = est.s_obs + f0_hat
-        est = replace(
-            est,
-            f0_hat=f0_hat,
-            s_hat=s_hat,
-            coverage=coverage_of(est.s_obs, s_hat),
-        )
-    return est
+    return estimate(spec.s_obs, spec.f1, spec.f2, INCIDENCE, spec.n_or_m,
+                    small_sample_correction)
 
 
 def diversity_proxies(tally: Tally) -> DiversityProxies:
     """TTR (types/tokens) for abundance data, STR (samples/types) for
     incidence data."""
-    if isinstance(tally, AbundanceTally):
-        return DiversityProxies(
-            types=tally.types,
-            tokens_or_samples=tally.n,
-            ttr=tally.types / tally.n,
-        )
-    if isinstance(tally, IncidenceTally):
-        return DiversityProxies(
-            types=tally.types,
-            tokens_or_samples=tally.m,
-            str_=tally.m / tally.types,
-        )
-    raise TypeError(f"unsupported tally type {type(tally).__name__}")
+    if tally.mode == ABUNDANCE:
+        return DiversityProxies(tally.types, tally.total,
+                                ttr=tally.types / tally.total)
+    return DiversityProxies(tally.types, tally.total,
+                            str_=tally.total / tally.types)

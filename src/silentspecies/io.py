@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
-from typing import Iterable, Mapping, Sequence, TextIO
+from itertools import islice
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .analysis import GroupReportRow
 from .errors import SchemaError
@@ -27,17 +29,27 @@ from .tally import ABUNDANCE, FrequencySpectrum, ObservationRecord
 from .version import __version__
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
+_CHUNK_ROWS = 1024
 
 
-def _data_lines(f: TextIO) -> Iterable[str]:
-    """Skip `#` comment lines so our own metadata headers round-trip."""
-    for line in f:
-        if line.lstrip().startswith("#"):
-            continue
-        yield line
+def _data_lines(f: TextIO) -> Iterator[str]:
+    """Skip the `#` metadata lines before the header, so our own outputs
+    round-trip; every line after the header is data."""
+    lines = iter(f)
+    for line in lines:
+        if not line.lstrip().startswith("#"):
+            yield line
+            break
+    yield from lines
 
 
-def _read_header(reader: Iterable[list[str]], what: str) -> list[str]:
+def _read_table(
+    f: TextIO, what: str
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Header names and the numbered data rows of a CSV table. Blank rows
+    are skipped; a row whose field count differs from the header's raises
+    SchemaError naming the row."""
+    reader = csv.reader(_data_lines(f))
     try:
         header = next(reader)
     except StopIteration:
@@ -46,7 +58,18 @@ def _read_header(reader: Iterable[list[str]], what: str) -> list[str]:
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
         raise SchemaError(f"{what}: duplicate header column(s) {sorted(dupes)}")
-    return names
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for row_num, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(names):
+                raise SchemaError(
+                    f"row {row_num}: expected {len(names)} fields, got {len(row)}"
+                )
+            yield row_num, row
+
+    return names, rows()
 
 
 def _parse_int(value: str, row: int, column: str) -> int:
@@ -61,31 +84,26 @@ def _parse_int(value: str, row: int, column: str) -> int:
 def read_records(f: TextIO) -> list[ObservationRecord]:
     """Parse long-format CSV into observation records. Extra columns are
     kept as record attributes for grouping."""
-    reader = csv.reader(_data_lines(f))
-    header = _read_header(reader, "long-format CSV")
+    header, rows = _read_table(f, "long-format CSV")
     if "species_id" not in header:
         raise SchemaError("long-format CSV: missing species_id column")
-    extra = [h for h in header if h not in LONG_COLUMNS]
+    species_col = header.index("species_id")
+    sample_col = header.index("sample_id") if "sample_id" in header else None
+    count_col = header.index("count") if "count" in header else None
+    extra = [(h, i) for i, h in enumerate(header) if h not in LONG_COLUMNS]
     records: list[ObservationRecord] = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"row {row_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        cells = dict(zip(header, row))
+    for row_num, row in rows:
         count = 1
-        if "count" in cells and cells["count"].strip() != "":
-            count = _parse_int(cells["count"], row_num, "count")
+        if count_col is not None and row[count_col].strip() != "":
+            count = _parse_int(row[count_col], row_num, "count")
         if count < 0:
             raise SchemaError(f"row {row_num}: negative count {count}")
         records.append(
             ObservationRecord(
-                sample_id=cells.get("sample_id", "").strip(),
-                species_id=cells["species_id"].strip(),
+                sample_id="" if sample_col is None else row[sample_col].strip(),
+                species_id=row[species_col].strip(),
                 count=count,
-                attrs={k: cells[k].strip() for k in extra},
+                attrs={h: row[i].strip() for h, i in extra},
             )
         )
     return records
@@ -93,19 +111,14 @@ def read_records(f: TextIO) -> list[ObservationRecord]:
 
 def read_histogram(f: TextIO) -> list[ObservationRecord]:
     """Parse a species_id,count histogram CSV into abundance records."""
-    reader = csv.reader(_data_lines(f))
-    header = _read_header(reader, "histogram CSV")
+    header, rows = _read_table(f, "histogram CSV")
     if header[:2] != ["species_id", "count"]:
         raise SchemaError(
             "histogram CSV: header must be species_id,count, got "
             + ",".join(header)
         )
     records = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"row {row_num}: expected 2 fields, got {len(row)}")
+    for row_num, row in rows:
         count = _parse_int(row[1], row_num, "count")
         if count < 0:
             raise SchemaError(f"row {row_num}: negative count {count}")
@@ -121,19 +134,14 @@ def read_histogram(f: TextIO) -> list[ObservationRecord]:
 
 def read_spectrum(f: TextIO, mode: str, n_or_m: int | None = None) -> FrequencySpectrum:
     """Parse an r,f_r spectrum CSV; r must be strictly increasing."""
-    reader = csv.reader(_data_lines(f))
-    header = _read_header(reader, "spectrum CSV")
+    header, rows = _read_table(f, "spectrum CSV")
     if header[:2] != ["r", "f_r"]:
         raise SchemaError(
             "spectrum CSV: header must be r,f_r, got " + ",".join(header)
         )
     freqs: dict[int, int] = {}
     last_r = 0
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"row {row_num}: expected 2 fields, got {len(row)}")
+    for row_num, row in rows:
         r = _parse_int(row[0], row_num, "r")
         f_r = _parse_int(row[1], row_num, "f_r")
         if r <= last_r:
@@ -171,9 +179,33 @@ def metadata(
     return meta
 
 
-def _write_meta_comments(f: TextIO, meta: Mapping[str, str]) -> None:
+def _write_table(
+    f: TextIO,
+    meta: Mapping[str, str],
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+) -> None:
+    """Metadata comment lines, then the header and rows as CSV. Floats are
+    written with repr, so they read back bit for bit."""
     for key, value in meta.items():
         f.write(f"# {key}: {value}\n")
+    # csv quotes a field only for the characters of its line terminator, so
+    # rows are formatted with CRLF, which gets a lone CR inside a field
+    # quoted, and written with LF. Rows are formatted a chunk at a time so
+    # that the rewrite is one replace per chunk unless a field holds a CR.
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append),
+                        lineterminator="\r\n")
+    writer.writerow(header)
+    rows = iter(rows)
+    while lines:
+        text = "".join(lines)
+        if text.count("\r") == len(lines):
+            f.write(text.replace("\r\n", "\n"))
+        else:
+            f.writelines(line[:-2] + "\n" for line in lines)
+        lines.clear()
+        writer.writerows(islice(rows, _CHUNK_ROWS))
 
 
 def _fmt(value: float, places: int = 3) -> str:
@@ -183,19 +215,15 @@ def _fmt(value: float, places: int = 3) -> str:
 def write_records_csv(
     records: Iterable[ObservationRecord], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write("sample_id,species_id,count\n")
-    for rec in records:
-        f.write(f"{rec.sample_id},{rec.species_id},{rec.count}\n")
+    _write_table(f, meta, LONG_COLUMNS,
+                 ((rec.sample_id, rec.species_id, rec.count) for rec in records))
 
 
 def write_spectrum_csv(
     spec: FrequencySpectrum, f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write("r,f_r\n")
-    for r in sorted(spec.freqs):
-        f.write(f"{r},{spec.freqs[r]}\n")
+    _write_table(f, meta, ("r", "f_r"),
+                 ((r, spec.freqs[r]) for r in sorted(spec.freqs)))
 
 
 _REPORT_FIELDS = (
@@ -215,30 +243,24 @@ _REPORT_FIELDS = (
 def write_report_csv(
     rows: Sequence[GroupReportRow], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write(",".join(_REPORT_FIELDS) + "\n")
-    for row in rows:
-        f.write(
-            ",".join(
-                [
-                    row.group_key,
-                    str(row.types),
-                    str(row.tokens_or_samples),
-                    _fmt(row.ttr_or_str),
-                    str(row.f1),
-                    str(row.f2),
-                    _fmt(row.coverage),
-                    _fmt(row.s_hat),
-                    row.estimator_name,
-                    "1" if row.used_fallback else "0",
-                ]
-            )
-            + "\n"
+    _write_table(f, meta, _REPORT_FIELDS, (
+        (
+            row.group_key,
+            row.types,
+            row.tokens_or_samples,
+            _fmt(row.ttr_or_str),
+            row.f1,
+            row.f2,
+            _fmt(row.coverage),
+            _fmt(row.s_hat),
+            row.estimator_name,
+            int(row.used_fallback),
         )
+        for row in rows
+    ))
 
 
-def write_report_markdown(
-    rows: Sequence[GroupReportRow],
+def write_report_markdown(    rows: Sequence[GroupReportRow],
     f: TextIO,
     meta: Mapping[str, str],
     group_label: str = "Group",
@@ -289,26 +311,22 @@ def write_report_json(
 def write_accumulation_csv(
     points: Sequence[AccumulationPoint], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write("k,replicates,mean_s_obs,mean_s_hat,sd_s_hat\n")
-    for p in points:
-        f.write(
-            f"{p.k},{p.replicates},{p.mean_s_obs!r},{p.mean_s_hat!r},"
-            f"{p.sd_s_hat!r}\n"
-        )
+    _write_table(
+        f, meta, ("k", "replicates", "mean_s_obs", "mean_s_hat", "sd_s_hat"),
+        ((p.k, p.replicates, p.mean_s_obs, p.mean_s_hat, p.sd_s_hat)
+         for p in points),
+    )
 
 
 def write_bootstrap_csv(
     results: Mapping[str, BootstrapResult], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write("metric,point,lower,upper,level,replicates,seed\n")
-    for metric in sorted(results):
-        r = results[metric]
-        f.write(
-            f"{metric},{r.point!r},{r.lower!r},{r.upper!r},{r.level!r},"
-            f"{r.replicates},{r.seed}\n"
-        )
+    _write_table(
+        f, meta,
+        ("metric", "point", "lower", "upper", "level", "replicates", "seed"),
+        ((metric, r.point, r.lower, r.upper, r.level, r.replicates, r.seed)
+         for metric, r in sorted(results.items())),
+    )
 
 
 def write_correlation_csv(
@@ -318,21 +336,18 @@ def write_correlation_csv(
     f: TextIO,
     meta: Mapping[str, str],
 ) -> None:
-    _write_meta_comments(f, meta)
-    f.write("x_name,y_name,n,slope,intercept,r,p_value\n")
-    f.write(
-        f"{x_name},{y_name},{result.n_points},{result.slope!r},"
-        f"{result.intercept!r},{result.r!r},{result.p_value!r}\n"
+    _write_table(
+        f, meta, ("x_name", "y_name", "n", "slope", "intercept", "r", "p_value"),
+        [(x_name, y_name, result.n_points, result.slope, result.intercept,
+          result.r, result.p_value)],
     )
 
 
 def write_trend_csv(fit: TrendFit, f: TextIO, meta: Mapping[str, str]) -> None:
-    """Plot-data grid: x,fit,lower,upper (band columns empty when no band
-    was computed)."""
-    _write_meta_comments(f, meta)
-    f.write("x,fit,lower,upper\n")
-    if fit.band is None:
-        return
-    for x, lower, upper in fit.band:
-        fitted = float(fit.predict([x])[0])
-        f.write(f"{x!r},{fitted!r},{lower!r},{upper!r}\n")
+    """Plot-data grid: x,fit,lower,upper (no rows when no band was
+    computed)."""
+    _write_table(
+        f, meta, ("x", "fit", "lower", "upper"),
+        ((x, float(fit.predict([x])[0]), lower, upper)
+         for x, lower, upper in fit.band or ()),
+    )

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidSize, SubsampleTooLarge
-from .estimators import RichnessEstimate, chao1, chao1_counts, chao2
-from .tally import AbundanceTally, IncidenceTally, Tally, spectrum
+from .estimators import RichnessEstimate, estimate
+from .tally import ABUNDANCE, INCIDENCE, Tally, spectrum
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
 
@@ -53,7 +53,13 @@ def resolve_workers(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SILENTSPECIES_THREADS
     (0 = auto), else all CPUs."""
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "0") or "0")
+        value = os.environ.get(THREADS_ENV, "0") or "0"
+        try:
+            threads = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV} must be an integer, got {value!r}"
+            ) from None
     if threads == 0:
         threads = os.cpu_count() or 1
     return max(1, threads)
@@ -69,7 +75,7 @@ def _map_replicates(
         return list(pool.map(fn, range(replicates)))
 
 
-def _estimate_from_counts(values: np.ndarray, mode_chao2: bool = False,
+def _estimate_from_counts(values: np.ndarray, mode: str = ABUNDANCE,
                           m: int = 0,
                           small_sample_correction: bool = False) -> RichnessEstimate:
     """Chao estimate straight from a vector of per-species counts."""
@@ -77,17 +83,10 @@ def _estimate_from_counts(values: np.ndarray, mode_chao2: bool = False,
     s_obs = int(nonzero.size)
     if s_obs == 0:
         # Possible only for tiny incidence resamples; treat as fully covered.
-        name = "chao2" if mode_chao2 else "chao1"
-        return RichnessEstimate(0, 0, 0, 0.0, 0.0, 1.0, name)
+        return RichnessEstimate(0, 0, 0, 0.0, 0.0, 1.0, "chao2")
     f1 = int(np.count_nonzero(nonzero == 1))
     f2 = int(np.count_nonzero(nonzero == 2))
-    est = chao1_counts(s_obs, f1, f2)
-    if mode_chao2 and small_sample_correction and m >= 2:
-        f0 = est.f0_hat * (m - 1) / m
-        s_hat = s_obs + f0
-        est = RichnessEstimate(s_obs, f1, f2, f0, s_hat, s_obs / s_hat,
-                               "chao2-bc" if est.used_fallback else "chao2")
-    return est
+    return estimate(s_obs, f1, f2, mode, m, small_sample_correction)
 
 
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -97,7 +96,7 @@ def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
 
 
 def accumulate(
-    tally: AbundanceTally,
+    tally: Tally,
     sizes: Sequence[int],
     replicates: int,
     seed: int,
@@ -209,37 +208,28 @@ def bootstrap_ci(
             stacklevel=2,
         )
 
-    incidence = isinstance(tally, IncidenceTally)
+    values = np.array(
+        [tally.counts[s] for s in sorted(tally.counts)], dtype=np.int64
+    )
+    total = tally.total
+    spec = spectrum(tally)
+    point = estimate(spec.s_obs, spec.f1, spec.f2, tally.mode, total,
+                     small_sample_correction)
+    probs = _augmented_probs(values, total, point.f0_hat, point.f1, point.f2)
+    incidence = tally.mode == INCIDENCE
     if incidence:
-        values = np.array(
-            [tally.incidences[s] for s in sorted(tally.incidences)],
-            dtype=np.int64,
-        )
-        m = tally.m
-        point = chao2(spectrum(tally), small_sample_correction)
         # presence probability per (observed + unseen) species, scaled so
         # expected total incidences match the augmented assemblage
-        probs = _augmented_probs(values, m, point.f0_hat, point.f1, point.f2)
-        presence = np.clip(probs * values.sum() / m, 0.0, 1.0)
-    else:
-        values = np.array(
-            [tally.counts[s] for s in sorted(tally.counts)], dtype=np.int64
-        )
-        n = int(values.sum())
-        point = chao1(spectrum(tally))
-        probs = _augmented_probs(values, n, point.f0_hat, point.f1, point.f2)
+        presence = np.clip(probs * values.sum() / total, 0.0, 1.0)
 
     def one(rep: int) -> np.ndarray:
         rng = _rng(seed, rep)
         if incidence:
-            draw = rng.binomial(m, presence)
-            est = _estimate_from_counts(
-                draw, mode_chao2=True, m=m,
-                small_sample_correction=small_sample_correction,
-            )
+            draw = rng.binomial(total, presence)
         else:
-            draw = rng.multinomial(n, probs)
-            est = _estimate_from_counts(draw)
+            draw = rng.multinomial(total, probs)
+        est = _estimate_from_counts(draw, tally.mode, total,
+                                    small_sample_correction)
         return np.array([est.s_hat, est.coverage])
 
     workers = resolve_workers(threads)

@@ -123,13 +123,22 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
         raise InsufficientPoints(f"need at least 3 points, got {n}")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
+    x_max = float(np.abs(dx).max())
+    y_max = float(np.abs(dy).max())
+    if x_max == 0.0 or y_max == 0.0:
+        raise DegenerateVariance("constant input vector")
+    # Scale each vector by a power of two (exact) so that its largest entry
+    # lies in [0.5, 1). The dot products then cannot underflow or overflow,
+    # and wherever the unscaled ones did not, r and slope keep their bits.
+    x_exp = math.frexp(x_max)[1]
+    y_exp = math.frexp(y_max)[1]
+    dx = np.ldexp(dx, -x_exp)
+    dy = np.ldexp(dy, -y_exp)
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateVariance("constant input vector")
     sxy = float(dx @ dy)
     r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
-    slope = sxy / sxx
+    slope = math.ldexp(sxy / sxx, y_exp - x_exp)
     intercept = float(ya.mean() - slope * xa.mean())
     df = n - 2
     if abs(r) == 1.0:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .tally import AbundanceTally, IncidenceTally, ObservationRecord, tally_incidence
+from .tally import ABUNDANCE, ObservationRecord, Tally, tally_incidence
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -57,7 +57,7 @@ def _species_labels(count: int) -> list[str]:
     return [f"sp{i:0{width}d}" for i in range(1, count + 1)]
 
 
-def sample(population: np.ndarray, n: int, seed: int) -> AbundanceTally:
+def sample(population: np.ndarray, n: int, seed: int) -> Tally:
     """Draw n tokens (exact multinomial) from the population and tally."""
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n}")
@@ -65,7 +65,7 @@ def sample(population: np.ndarray, n: int, seed: int) -> AbundanceTally:
     draws = rng.multinomial(n, population)
     labels = _species_labels(population.size)
     counts = {labels[i]: int(c) for i, c in enumerate(draws) if c > 0}
-    return AbundanceTally(counts, n)
+    return Tally(counts, n, ABUNDANCE)
 
 
 def sample_site_records(
@@ -108,7 +108,7 @@ def sample_sites(
     per_site_n: int,
     detection: float = 1.0,
     seed: int = 0,
-) -> IncidenceTally:
+) -> Tally:
     """Incidence tally over m independently drawn sites. Raises EmptyDataset
     if detection thinning removed every observation."""
     return tally_incidence(

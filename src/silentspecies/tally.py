@@ -37,31 +37,22 @@ class ObservationRecord:
 
 
 @dataclass(frozen=True)
-class AbundanceTally:
-    """Per-species occurrence counts; n is the total token count."""
+class Tally:
+    """Per-species counts and their total.
+
+    In abundance mode a count is the species' number of tokens and `total`
+    is the token count n. In incidence mode a count is the number of
+    distinct samples containing the species and `total` is the number of
+    distinct samples m.
+    """
 
     counts: Mapping[str, int]
-    n: int
+    total: int
+    mode: str  # ABUNDANCE or INCIDENCE
 
     @property
     def types(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class IncidenceTally:
-    """Per-species counts of distinct samples containing the species;
-    m is the total number of distinct samples."""
-
-    incidences: Mapping[str, int]
-    m: int
-
-    @property
-    def types(self) -> int:
-        return len(self.incidences)
-
-
-Tally = AbundanceTally | IncidenceTally
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ def _clean_species(record: ObservationRecord, row: int | None = None) -> str:
     return species
 
 
-def tally_abundance(records: Iterable[ObservationRecord]) -> AbundanceTally:
+def tally_abundance(records: Iterable[ObservationRecord]) -> Tally:
     """Sum occurrence counts per species. Zero-count records are dropped;
     an input that is empty after dropping them raises EmptyDataset."""
     counts: Counter[str] = Counter()
@@ -119,10 +110,10 @@ def tally_abundance(records: Iterable[ObservationRecord]) -> AbundanceTally:
         counts[species] += rec.count
     if not counts:
         raise EmptyDataset("no records with positive counts")
-    return AbundanceTally(dict(counts), sum(counts.values()))
+    return Tally(dict(counts), sum(counts.values()), ABUNDANCE)
 
 
-def tally_incidence(records: Iterable[ObservationRecord]) -> IncidenceTally:
+def tally_incidence(records: Iterable[ObservationRecord]) -> Tally:
     """Count, per species, the number of distinct samples containing it.
 
     Duplicate (sample, species) observations collapse to a single incidence:
@@ -142,20 +133,24 @@ def tally_incidence(records: Iterable[ObservationRecord]) -> IncidenceTally:
     if not seen:
         raise EmptyDataset("no records with positive counts")
     incidences: Counter[str] = Counter(species for _, species in seen)
-    return IncidenceTally(dict(incidences), len(samples))
+    return Tally(dict(incidences), len(samples), INCIDENCE)
+
+
+def tally_records(records: Iterable[ObservationRecord], mode: str) -> Tally:
+    """Abundance or incidence tally of `records`, as `mode` says."""
+    if mode == ABUNDANCE:
+        return tally_abundance(records)
+    if mode == INCIDENCE:
+        return tally_incidence(records)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def spectrum(tally: Tally) -> FrequencySpectrum:
     """Histogram the per-species counts into the f_r spectrum."""
-    if isinstance(tally, AbundanceTally):
-        values = tally.counts.values()
-        mode, total = ABUNDANCE, tally.n
-    else:
-        values = tally.incidences.values()
-        mode, total = INCIDENCE, tally.m
-    if not values:
+    if not tally.counts:
         raise EmptyDataset("empty tally")
-    return FrequencySpectrum(dict(Counter(values)), mode, total)
+    return FrequencySpectrum(dict(Counter(tally.counts.values())), tally.mode,
+                             tally.total)
 
 
 def group_by(
@@ -166,19 +161,16 @@ def group_by(
     Every record must carry the attribute; a missing value raises SchemaError
     naming the row. Groups whose records are all zero-count are dropped.
     """
-    if mode not in (ABUNDANCE, INCIDENCE):
-        raise ValueError(f"unknown mode {mode!r}")
     partitions: dict[str, list[ObservationRecord]] = {}
     for i, rec in enumerate(records, start=1):
         value = rec.attrs.get(group_field, "").strip()
         if not value:
             raise SchemaError(f"row {i}: missing group attribute {group_field!r}")
         partitions.setdefault(value, []).append(rec)
-    tally_fn = tally_abundance if mode == ABUNDANCE else tally_incidence
     groups: dict[str, Tally] = {}
     for key, part in partitions.items():
         try:
-            groups[key] = tally_fn(part)
+            groups[key] = tally_records(part, mode)
         except EmptyDataset:
             continue  # group contained only zero-count placeholder rows
     if not groups:

@@ -3,10 +3,11 @@ import io as stdio
 import pytest
 
 from silentspecies import (
-    AbundanceTally,
+    ABUNDANCE,
+    INCIDENCE,
     DegenerateVariance,
     GroupedDataset,
-    IncidenceTally,
+    Tally,
     merge_tallies,
     per_group_correlation,
     report,
@@ -19,7 +20,7 @@ from silentspecies.synth import PopulationSpec, generate, sample
 
 def abundance_dataset(groups):
     return GroupedDataset(
-        {k: AbundanceTally(counts, sum(counts.values())) for k, counts in groups.items()},
+        {k: Tally(counts, sum(counts.values()), ABUNDANCE) for k, counts in groups.items()},
         "genre",
         "abundance",
     )
@@ -28,17 +29,17 @@ def abundance_dataset(groups):
 class TestMerge:
     def test_abundance_counts_sum(self):
         merged = merge_tallies(
-            [AbundanceTally({"a": 2, "b": 1}, 3), AbundanceTally({"a": 1, "c": 4}, 5)]
+            [Tally({"a": 2, "b": 1}, 3, ABUNDANCE), Tally({"a": 1, "c": 4}, 5, ABUNDANCE)]
         )
         assert merged.counts == {"a": 3, "b": 1, "c": 4}
-        assert merged.n == 8
+        assert merged.total == 8
 
     def test_incidence_sites_are_disjoint(self):
         merged = merge_tallies(
-            [IncidenceTally({"a": 2}, 3), IncidenceTally({"a": 1, "b": 1}, 4)]
+            [Tally({"a": 2}, 3, INCIDENCE), Tally({"a": 1, "b": 1}, 4, INCIDENCE)]
         )
-        assert merged.incidences == {"a": 3, "b": 1}
-        assert merged.m == 7
+        assert merged.counts == {"a": 3, "b": 1}
+        assert merged.total == 7
 
 
 class TestReport:
@@ -170,7 +171,7 @@ class TestPerGroupCorrelation:
 
 
 def test_summarize_consistent_with_report_row():
-    tally = AbundanceTally({"a": 3, "b": 1, "c": 1, "d": 2}, 7)
+    tally = Tally({"a": 3, "b": 1, "c": 1, "d": 2}, 7, ABUNDANCE)
     row = summarize("k", tally)
     assert row.types == 4
     assert row.f1 == 2 and row.f2 == 1

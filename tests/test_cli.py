@@ -169,3 +169,40 @@ def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
     assert "# tool: silentspecies" in text
     assert "# seed: 42" in text
     assert "# estimator:" in text
+
+
+# (argv, environment, exit code, text the one `error:` line must name)
+BOUNDARY_CASES = {
+    "threads-env": (
+        ["bootstrap", "--input", "sessions.csv", "--replicates", "100"],
+        {"SILENTSPECIES_THREADS": "abc"}, 1, "SILENTSPECIES_THREADS"),
+    "sizes-flag": (
+        ["accumulate", "--input", "sessions.csv", "--sizes", "1,x"], {}, 2,
+        "argument --sizes"),
+    "synth-draw": (
+        ["synth", "--species", "10"], {}, 2, "--tokens --sites is required"),
+    "level-flag": (
+        ["bootstrap", "--input", "sessions.csv", "--level", "1.5"], {}, 1,
+        "level"),
+    "missing-input": (
+        ["estimate", "--input", "missing.csv"], {}, 1, "missing.csv"),
+    "missing-group-column": (
+        ["estimate", "--input", "sessions.csv", "--group-by", "nope"], {}, 1,
+        "'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_bad_flag_or_environment_gives_one_error_line(
+    case, sessions_csv, monkeypatch, capsys
+):
+    argv, env, code, named = BOUNDARY_CASES[case]
+    monkeypatch.chdir(sessions_csv.parent)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert named in errors[0]
+    assert captured.out == ""

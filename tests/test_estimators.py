@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from silentspecies import (
-    AbundanceTally,
+    ABUNDANCE,
+    INCIDENCE,
     FrequencySpectrum,
-    IncidenceTally,
+    Tally,
     InsufficientSamples,
     chao1,
     chao1_counts,
@@ -101,18 +102,18 @@ class TestCoverage:
 
 class TestDiversityProxies:
     def test_ttr(self):
-        p = diversity_proxies(AbundanceTally({f"s{i}": 1 for i in range(389)} | {"big": 3823}, 4212))
+        p = diversity_proxies(Tally({f"s{i}": 1 for i in range(389)} | {"big": 3823}, 4212, ABUNDANCE))
         assert p.ttr == pytest.approx(390 / 4212)
         assert p.ttr == pytest.approx(0.093, abs=1e-3)
         assert p.str_ is None
 
     def test_str(self):
-        p = diversity_proxies(IncidenceTally({f"s{i}": 1 for i in range(926)}, 185))
+        p = diversity_proxies(Tally({f"s{i}": 1 for i in range(926)}, 185, INCIDENCE))
         assert p.str_ == pytest.approx(0.200, abs=1e-3)
         assert p.ttr is None
 
     def test_degenerate_ttr(self):
-        p = diversity_proxies(AbundanceTally({"a": 1}, 1))
+        p = diversity_proxies(Tally({"a": 1}, 1, ABUNDANCE))
         assert p.ttr == 1.0
 
 
@@ -160,7 +161,7 @@ def test_chao2_uncorrected_is_chao1_arithmetic(freqs, m):
 
 def test_all_singletons_triggers_fallback():
     # TTR = 1 means every species is a singleton, so f2 = 0
-    tally = AbundanceTally({"a": 1, "b": 1, "c": 1}, 3)
+    tally = Tally({"a": 1, "b": 1, "c": 1}, 3, ABUNDANCE)
     assert diversity_proxies(tally).ttr == 1.0
     from silentspecies import spectrum
 

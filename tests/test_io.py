@@ -2,13 +2,15 @@ import io as stdio
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from silentspecies import SchemaError, tally_abundance
+from silentspecies import ObservationRecord, SchemaError, tally_abundance
 from silentspecies.io import (
     metadata,
     read_histogram,
     read_records,
     read_spectrum,
+    write_records_csv,
     write_report_json,
     write_spectrum_csv,
 )
@@ -65,6 +67,15 @@ class TestReadRecords:
         records = parse("# seed: 42\nsample_id,species_id,count\nm1,a,1\n")
         assert len(records) == 1
 
+    def test_hash_row_after_header_is_data(self):
+        records = parse(
+            "# seed: 42\nsample_id,species_id,count\nm1,tuneA,2\n#s2,tuneB,1\n"
+        )
+        assert [(r.sample_id, r.species_id) for r in records] == [
+            ("m1", "tuneA"),
+            ("#s2", "tuneB"),
+        ]
+
     def test_whitespace_trimmed(self):
         records = parse("sample_id,species_id,count\n m1 , a ,1\n")
         assert records[0].sample_id == "m1"
@@ -105,12 +116,50 @@ class TestReadSpectrum:
 
 
 def test_json_report_round_trips(tmp_path):
-    from silentspecies import AbundanceTally, summarize
+    from silentspecies import ABUNDANCE, Tally, summarize
 
-    rows = [summarize("g", AbundanceTally({"a": 2, "b": 1}, 3))]
+    rows = [summarize("g", Tally({"a": 2, "b": 1}, 3, ABUNDANCE))]
     buf = stdio.StringIO()
     write_report_json(rows, buf, metadata("cmd", seed=42))
     payload = json.loads(buf.getvalue())
     # parsing and re-serializing is idempotent
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == buf.getvalue()
     assert payload["rows"][0]["coverage"] == rows[0].coverage
+
+
+# Ids as the reader returns them: stripped and non-empty, built from pieces
+# that need CSV quoting (comma, quote, CR/LF) or look like a comment line.
+ids = (
+    st.lists(
+        st.one_of(
+            st.sampled_from([",", '"', "\n", "\r\n", "#", " ", "Smith, J."]),
+            st.text(
+                st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+    .map("".join)
+    .map(str.strip)
+    .filter(bool)
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            ObservationRecord,
+            sample_id=ids,
+            species_id=ids,
+            count=st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=10,
+    )
+)
+def test_records_csv_round_trip(records):
+    buf = stdio.StringIO(newline="")
+    write_records_csv(records, buf, metadata("cmd", seed=1))
+    buf.seek(0)
+    assert read_records(buf) == records

@@ -1,14 +1,15 @@
 import pytest
 
 from silentspecies import (
-    AbundanceTally,
-    IncidenceTally,
+    ABUNDANCE,
+    INCIDENCE,
     InvalidSize,
     SubsampleTooLarge,
     accumulate,
     bootstrap_ci,
     chao1,
     spectrum,
+    Tally,
 )
 from silentspecies.synth import PopulationSpec, generate, sample
 
@@ -22,7 +23,7 @@ def zipf_tally():
 class TestAccumulate:
     def test_full_size_reproduces_observed_richness(self, zipf_tally):
         full = chao1(spectrum(zipf_tally))
-        points = accumulate(zipf_tally, [zipf_tally.n], replicates=5, seed=1)
+        points = accumulate(zipf_tally, [zipf_tally.total], replicates=5, seed=1)
         point = points[0]
         assert point.mean_s_obs == full.s_obs
         assert point.mean_s_hat == pytest.approx(full.s_hat)
@@ -30,7 +31,7 @@ class TestAccumulate:
 
     def test_oversized_subsample_rejected(self, zipf_tally):
         with pytest.raises(SubsampleTooLarge):
-            accumulate(zipf_tally, [zipf_tally.n + 1], replicates=1, seed=0)
+            accumulate(zipf_tally, [zipf_tally.total + 1], replicates=1, seed=0)
 
     def test_zero_size_rejected(self, zipf_tally):
         with pytest.raises(InvalidSize):
@@ -54,7 +55,7 @@ class TestAccumulate:
 
 class TestBootstrap:
     def test_single_species_interval_collapses(self):
-        tally = AbundanceTally({"only": 50}, 50)
+        tally = Tally({"only": 50}, 50, ABUNDANCE)
         res = bootstrap_ci(tally, replicates=200, level=0.95, seed=3)
         assert res["coverage"].lower == res["coverage"].upper == 1.0
 
@@ -91,9 +92,10 @@ class TestBootstrap:
         assert hits >= 90
 
     def test_incidence_bootstrap(self):
-        tally = IncidenceTally(
+        tally = Tally(
             {f"s{i}": 1 for i in range(30)} | {f"c{i}": 8 for i in range(40)},
             10,
+            INCIDENCE,
         )
         res = bootstrap_ci(tally, replicates=200, level=0.95, seed=8)
         assert res["coverage"].lower <= res["coverage"].upper <= 1.0

@@ -67,6 +67,18 @@ class TestPearson:
         with pytest.raises(InsufficientPoints):
             pearson([1.0, 2.0], [1.0, 2.0])
 
+    def test_tiny_spread_does_not_underflow(self):
+        # dy @ dy underflows to 0 without rescaling; the relation is exact
+        res = pearson([0.0, 0.0, 1.0], [0.0, 0.0, 1.68e-282])
+        assert res.r == 1.0
+        assert res.slope == 1.68e-282
+        assert res.intercept == 0.0
+
+    def test_huge_spread_does_not_overflow(self):
+        res = pearson([0.0, 1e200, 3e200], [0.0, -2e200, -6e200])
+        assert res.r == -1.0
+        assert res.slope == pytest.approx(-2.0)
+
 
 finite_floats = st.floats(min_value=-100, max_value=100)
 

@@ -61,7 +61,7 @@ class TestGenerate:
 class TestSample:
     def test_single_token(self):
         tally = sample(generate(PopulationSpec(10, "uniform")), 1, seed=0)
-        assert tally.n == 1
+        assert tally.total == 1
         assert list(tally.counts.values()) == [1]
 
     def test_uniform_small_population_fully_observed(self):
@@ -87,8 +87,8 @@ class TestSampleSites:
     def test_shapes_and_bounds(self):
         probs = generate(PopulationSpec(40, "zipf", alpha=1.0))
         tally = sample_sites(probs, m=12, per_site_n=50, seed=5)
-        assert tally.m == 12
-        assert all(1 <= v <= 12 for v in tally.incidences.values())
+        assert tally.total == 12
+        assert all(1 <= v <= 12 for v in tally.counts.values())
 
     def test_detection_thinning_reduces_observations(self):
         probs = generate(PopulationSpec(40, "zipf", alpha=1.0))

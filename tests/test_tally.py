@@ -30,12 +30,12 @@ class TestTallyAbundance:
     def test_hand_summation(self):
         t = tally_abundance([rec("m1", "a", 2), rec("m1", "b", 1), rec("m2", "a", 1)])
         assert t.counts == {"a": 3, "b": 1}
-        assert t.n == 4
+        assert t.total == 4
 
     def test_single_record(self):
         t = tally_abundance([rec("m1", "a", 1)])
         assert t.counts == {"a": 1}
-        assert t.n == 1
+        assert t.total == 1
 
     def test_all_zero_counts_is_empty(self):
         with pytest.raises(EmptyDataset):
@@ -59,18 +59,18 @@ class TestTallyIncidence:
         t = tally_incidence(
             [rec("m1", "a", 2), rec("m1", "a", 5), rec("m2", "a", 1), rec("m2", "b", 1)]
         )
-        assert t.incidences == {"a": 2, "b": 1}
-        assert t.m == 2
+        assert t.counts == {"a": 2, "b": 1}
+        assert t.total == 2
 
     def test_single_record(self):
         t = tally_incidence([rec("m1", "a", 1)])
-        assert t.incidences == {"a": 1}
-        assert t.m == 1
+        assert t.counts == {"a": 1}
+        assert t.total == 1
 
     def test_repeated_use_in_one_source_is_still_singleton(self):
         # used twice in the same source: still one incidence
         t = tally_incidence([rec("m1", "chant", 2)])
-        assert t.incidences["chant"] == 1
+        assert t.counts["chant"] == 1
 
     def test_missing_sample_is_schema_error(self):
         with pytest.raises(SchemaError, match="sample_id"):
@@ -79,16 +79,16 @@ class TestTallyIncidence:
 
 class TestSpectrum:
     def test_value_multiplicities(self):
-        from silentspecies import AbundanceTally
+        from silentspecies import ABUNDANCE, Tally
 
-        spec = spectrum(AbundanceTally({"a": 3, "b": 1, "c": 1, "d": 2}, 7))
+        spec = spectrum(Tally({"a": 3, "b": 1, "c": 1, "d": 2}, 7, ABUNDANCE))
         assert spec.f1 == 2 and spec.f2 == 1 and spec.f(3) == 1
         assert spec.s_obs == 4
 
     def test_singleton_dataset(self):
-        from silentspecies import AbundanceTally
+        from silentspecies import ABUNDANCE, Tally
 
-        spec = spectrum(AbundanceTally({"a": 1}, 1))
+        spec = spectrum(Tally({"a": 1}, 1, ABUNDANCE))
         assert spec.f1 == 1 and spec.s_obs == 1
 
 
@@ -101,8 +101,8 @@ class TestGroupBy:
         ]
         ds = group_by(records, "genre", "abundance")
         assert set(ds.groups) == {"Reel", "Jig"}
-        assert ds.groups["Reel"].n == 2
-        assert ds.groups["Jig"].n == 1
+        assert ds.groups["Reel"].total == 2
+        assert ds.groups["Jig"].total == 1
 
     def test_missing_group_attribute_names_row(self):
         records = [rec("m1", "a", 1, genre="Reel"), rec("m1", "b", 1)]
@@ -140,7 +140,7 @@ def test_spectrum_matches_brute_force(records):
     freqs, s_obs, n = brute_force_spectrum(records)
     assert spec.freqs == freqs
     assert spec.s_obs == s_obs
-    assert sum(r * f for r, f in spec.freqs.items()) == n == tally.n
+    assert sum(r * f for r, f in spec.freqs.items()) == n == tally.total
 
 
 @given(records_strategy)
@@ -176,7 +176,7 @@ def test_incidence_bounded_by_m_and_dedup_stable(records):
         t = tally_incidence(records)
     except EmptyDataset:
         return
-    assert all(1 <= v <= t.m for v in t.incidences.values())
+    assert all(1 <= v <= t.total for v in t.counts.values())
     # collapsing duplicate (sample, species) pairs first changes nothing
     seen = set()
     collapsed = []
