@@ -10,7 +10,6 @@ from .analysis import (
     per_group_correlation,
     report,
     summarize,
-    top_n,
 )
 from .errors import (
     DegenerateVariance,
@@ -24,7 +23,6 @@ from .errors import (
     SubsampleTooLarge,
 )
 from .estimators import (
-    DiversityProxies,
     RichnessEstimate,
     chao1,
     chao1_counts,
@@ -32,6 +30,7 @@ from .estimators import (
     coverage_of,
     diversity_proxies,
     estimate,
+    estimate_tally,
 )
 from .resampling import (
     AccumulationPoint,
@@ -45,7 +44,6 @@ from .synth import (
     generate,
     sample,
     sample_site_records,
-    sample_sites,
 )
 from .tally import (
     ABUNDANCE,
@@ -69,7 +67,6 @@ __all__ = [
     "AccumulationPoint",
     "BootstrapResult",
     "DegenerateVariance",
-    "DiversityProxies",
     "EmptyDataset",
     "FrequencySpectrum",
     "GroupReportRow",
@@ -95,6 +92,7 @@ __all__ = [
     "coverage_of",
     "diversity_proxies",
     "estimate",
+    "estimate_tally",
     "generate",
     "group_by",
     "group_xy",
@@ -105,11 +103,9 @@ __all__ = [
     "report",
     "sample",
     "sample_site_records",
-    "sample_sites",
     "spectrum",
     "summarize",
     "tally_abundance",
     "tally_incidence",
     "tally_records",
-    "top_n",
 ]

@@ -1,17 +1,16 @@
 """Grouped estimation tables: one richness estimate per group plus a pooled
-total, top-N group selection, and per-group diversity/coverage correlation.
+total, and per-group diversity/coverage correlation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyDataset
-from .estimators import RichnessEstimate, diversity_proxies, estimate
+from .estimators import diversity_proxies, estimate_tally
 from .stats import RegressionResult, pearson
-from .tally import GroupedDataset, Tally, spectrum
+from .tally import GroupedDataset, Tally
 
 TOTAL_KEY = "Total"
 
@@ -48,25 +47,16 @@ def merge_tallies(tallies: Sequence[Tally]) -> Tally:
     return Tally(counts, sum(t.total for t in tallies), tallies[0].mode)
 
 
-def estimate_tally(
-    tally: Tally, small_sample_correction: bool = False
-) -> RichnessEstimate:
-    spec = spectrum(tally)
-    return estimate(spec.s_obs, spec.f1, spec.f2, spec.mode, spec.n_or_m,
-                    small_sample_correction)
-
-
 def summarize(
     key: str, tally: Tally, small_sample_correction: bool = False
 ) -> GroupReportRow:
     """Single report row for one tally."""
     est = estimate_tally(tally, small_sample_correction)
-    proxies = diversity_proxies(tally)
     return GroupReportRow(
         group_key=key,
-        types=proxies.types,
-        tokens_or_samples=proxies.tokens_or_samples,
-        ttr_or_str=proxies.value,
+        types=tally.types,
+        tokens_or_samples=tally.total,
+        ttr_or_str=diversity_proxies(tally),
         f1=est.f1,
         f2=est.f2,
         coverage=est.coverage,
@@ -97,33 +87,6 @@ def report(
     return rows
 
 
-def _group_size(tally: Tally, size_by: str) -> int:
-    if size_by == "types":
-        return tally.types
-    return sum(tally.counts.values())
-
-
-def top_n(
-    dataset: GroupedDataset, n: int, size_by: str = "tokens"
-) -> GroupedDataset:
-    """Keep the n largest groups by total observations (or by type count
-    with size_by="types"); ties broken by group key."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > len(dataset.groups):
-        warnings.warn(
-            f"top_n: requested {n} groups but only {len(dataset.groups)} "
-            "exist; returning all",
-            stacklevel=2,
-        )
-        n = len(dataset.groups)
-    ranked = sorted(
-        dataset.groups.items(),
-        key=lambda item: (-_group_size(item[1], size_by), item[0]),
-    )
-    return GroupedDataset(dict(ranked[:n]), dataset.group_field, dataset.mode)
-
-
 def group_xy(
     dataset: GroupedDataset,
     x: str = "ttr",
@@ -136,12 +99,12 @@ def group_xy(
     ys: list[float] = []
     for key in sorted(dataset.groups):
         tally = dataset.groups[key]
-        proxies = diversity_proxies(tally)
+        proxy = diversity_proxies(tally)
         est = estimate_tally(tally, small_sample_correction)
         if x in ("ttr", "str"):
-            xs.append(proxies.value)
+            xs.append(proxy)
         elif x == "one-minus-ttr":
-            xs.append(1.0 - proxies.value)
+            xs.append(1.0 - proxy)
         else:
             raise ValueError(f"unknown x column {x!r}")
         if y == "coverage":

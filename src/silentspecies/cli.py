@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from dataclasses import fields
 from typing import Sequence, TextIO
 
 from . import analysis, io, resampling, synth
@@ -30,6 +31,7 @@ from .tally import (
 from .version import __version__
 
 DEFAULT_SEED = 42
+_SORT_COLUMNS = [f.name for f in fields(analysis.GroupReportRow)]
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the (m-1)/m small-sample factor (incidence)")
         p.add_argument("--format", choices=["csv", "markdown", "json"],
                        default=default_fmt)
-        p.add_argument("--sort-by", default="coverage",
+        p.add_argument("--sort-by", default="coverage", choices=_SORT_COLUMNS,
                        help="report column to sort by (default: %(default)s)")
         p.add_argument("--ascending", action="store_true")
 

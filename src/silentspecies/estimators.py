@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientSamples
-from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally
+from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally, spectrum
 
 _NAMES = {ABUNDANCE: "chao1", INCIDENCE: "chao2"}
 
@@ -34,22 +34,6 @@ class RichnessEstimate:
     @property
     def used_fallback(self) -> bool:
         return self.estimator_name.endswith("-bc")
-
-
-@dataclass(frozen=True)
-class DiversityProxies:
-    """Type-token ratio (abundance) or sample-type ratio (incidence)."""
-
-    types: int
-    tokens_or_samples: int
-    ttr: float | None = None
-    str_: float | None = None
-
-    @property
-    def value(self) -> float:
-        v = self.ttr if self.ttr is not None else self.str_
-        assert v is not None
-        return v
 
 
 def coverage_of(s_obs: float, s_hat: float) -> float:
@@ -98,6 +82,16 @@ def estimate(
     )
 
 
+def estimate_tally(
+    tally: Tally, small_sample_correction: bool = False
+) -> RichnessEstimate:
+    """Chao1 or Chao2 estimate of a tally, as its mode says; the (m-1)/m
+    factor applies only in incidence mode."""
+    spec = spectrum(tally)
+    return estimate(spec.s_obs, spec.f1, spec.f2, spec.mode, spec.n_or_m,
+                    small_sample_correction)
+
+
 def chao1_counts(s_obs: int, f1: int, f2: int) -> RichnessEstimate:
     """Chao1 straight from (S_obs, f1, f2), e.g. published table rows."""
     return estimate(s_obs, f1, f2, ABUNDANCE)
@@ -126,11 +120,9 @@ def chao2(
                     small_sample_correction)
 
 
-def diversity_proxies(tally: Tally) -> DiversityProxies:
+def diversity_proxies(tally: Tally) -> float:
     """TTR (types/tokens) for abundance data, STR (samples/types) for
     incidence data."""
     if tally.mode == ABUNDANCE:
-        return DiversityProxies(tally.types, tally.total,
-                                ttr=tally.types / tally.total)
-    return DiversityProxies(tally.types, tally.total,
-                            str_=tally.total / tally.types)
+        return tally.types / tally.total
+    return tally.total / tally.types

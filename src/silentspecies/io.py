@@ -1,11 +1,9 @@
 """CSV ingestion and report serialization.
 
-Input formats (UTF-8, header required, duplicate headers rejected):
-
-* long format:   sample_id,species_id,count[,<group columns...>]
-                 (`count` optional, defaults to 1)
-* histogram:     species_id,count
-* spectrum:      r,f_r  with r strictly increasing
+The one input format is the long format (UTF-8, header required, duplicate
+headers rejected): sample_id,species_id,count[,<group columns...>], where
+`count` is optional and defaults to 1. `sample_id` is optional too, so a
+species_id,count histogram is a long-format file.
 
 Every writer emits a metadata header (CSV comment lines or JSON fields)
 recording the tool version, the command line, and the seed, so published
@@ -98,66 +96,18 @@ def read_records(f: TextIO) -> list[ObservationRecord]:
             count = _parse_int(row[count_col], row_num, "count")
         if count < 0:
             raise SchemaError(f"row {row_num}: negative count {count}")
+        species = row[species_col].strip()
+        if not species:
+            raise SchemaError(f"row {row_num}: empty species_id")
         records.append(
             ObservationRecord(
                 sample_id="" if sample_col is None else row[sample_col].strip(),
-                species_id=row[species_col].strip(),
+                species_id=species,
                 count=count,
                 attrs={h: row[i].strip() for h, i in extra},
             )
         )
     return records
-
-
-def read_histogram(f: TextIO) -> list[ObservationRecord]:
-    """Parse a species_id,count histogram CSV into abundance records."""
-    header, rows = _read_table(f, "histogram CSV")
-    if header[:2] != ["species_id", "count"]:
-        raise SchemaError(
-            "histogram CSV: header must be species_id,count, got "
-            + ",".join(header)
-        )
-    records = []
-    for row_num, row in rows:
-        count = _parse_int(row[1], row_num, "count")
-        if count < 0:
-            raise SchemaError(f"row {row_num}: negative count {count}")
-        records.append(
-            ObservationRecord(
-                sample_id="_default",
-                species_id=row[0].strip(),
-                count=count,
-            )
-        )
-    return records
-
-
-def read_spectrum(f: TextIO, mode: str, n_or_m: int | None = None) -> FrequencySpectrum:
-    """Parse an r,f_r spectrum CSV; r must be strictly increasing."""
-    header, rows = _read_table(f, "spectrum CSV")
-    if header[:2] != ["r", "f_r"]:
-        raise SchemaError(
-            "spectrum CSV: header must be r,f_r, got " + ",".join(header)
-        )
-    freqs: dict[int, int] = {}
-    last_r = 0
-    for row_num, row in rows:
-        r = _parse_int(row[0], row_num, "r")
-        f_r = _parse_int(row[1], row_num, "f_r")
-        if r <= last_r:
-            raise SchemaError(f"row {row_num}: r values must be strictly increasing")
-        if r < 1 or f_r < 0:
-            raise SchemaError(f"row {row_num}: r must be >= 1 and f_r >= 0")
-        last_r = r
-        freqs[r] = f_r
-    if not freqs:
-        raise SchemaError("spectrum CSV: no data rows")
-    if n_or_m is None:
-        if mode == ABUNDANCE:
-            n_or_m = sum(r * f_r for r, f_r in freqs.items())
-        else:
-            n_or_m = max(freqs)
-    return FrequencySpectrum(freqs, mode, n_or_m)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidSize, SubsampleTooLarge
-from .estimators import RichnessEstimate, estimate
-from .tally import ABUNDANCE, INCIDENCE, Tally, spectrum
+from .estimators import RichnessEstimate, estimate, estimate_tally
+from .tally import ABUNDANCE, INCIDENCE, Tally
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
 
@@ -51,18 +51,18 @@ class BootstrapResult:
 
 def resolve_workers(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SILENTSPECIES_THREADS
-    (0 = auto), else all CPUs."""
+    (0 = auto), else all CPUs; never more than the CPU count."""
     if threads is None:
         value = os.environ.get(THREADS_ENV, "0") or "0"
-        try:
-            threads = int(value)
-        except ValueError:
+        if not value.strip().isdecimal():
             raise ValueError(
-                f"{THREADS_ENV} must be an integer, got {value!r}"
-            ) from None
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+                f"{THREADS_ENV} must be a non-negative integer, got {value!r}"
+            )
+        threads = int(value)
+    elif threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    cpus = os.cpu_count() or 1
+    return min(threads, cpus) if threads else cpus
 
 
 def _map_replicates(
@@ -212,9 +212,7 @@ def bootstrap_ci(
         [tally.counts[s] for s in sorted(tally.counts)], dtype=np.int64
     )
     total = tally.total
-    spec = spectrum(tally)
-    point = estimate(spec.s_obs, spec.f1, spec.f2, tally.mode, total,
-                     small_sample_correction)
+    point = estimate_tally(tally, small_sample_correction)
     probs = _augmented_probs(values, total, point.f0_hat, point.f1, point.f2)
     incidence = tally.mode == INCIDENCE
     if incidence:

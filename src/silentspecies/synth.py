@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .tally import ABUNDANCE, ObservationRecord, Tally, tally_incidence
+from .tally import ABUNDANCE, ObservationRecord, Tally
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -101,16 +101,3 @@ def sample_site_records(
             )
     return records
 
-
-def sample_sites(
-    population: np.ndarray,
-    m: int,
-    per_site_n: int,
-    detection: float = 1.0,
-    seed: int = 0,
-) -> Tally:
-    """Incidence tally over m independently drawn sites. Raises EmptyDataset
-    if detection thinning removed every observation."""
-    return tally_incidence(
-        sample_site_records(population, m, per_site_n, detection, seed)
-    )

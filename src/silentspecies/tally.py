@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyDataset, SchemaError
 
-DEFAULT_SAMPLE = "_default"
-
 ABUNDANCE = "abundance"
 INCIDENCE = "incidence"
 
@@ -173,6 +171,11 @@ def group_by(
             groups[key] = tally_records(part, mode)
         except EmptyDataset:
             continue  # group contained only zero-count placeholder rows
+        except SchemaError:
+            # A group numbers its records from 1; the whole input names
+            # the fault by its position in `records`.
+            tally_records(records, mode)
+            raise
     if not groups:
         raise EmptyDataset("all groups empty after dropping zero counts")
     return GroupedDataset(groups, group_field, mode)

@@ -12,7 +12,6 @@ from silentspecies import (
     per_group_correlation,
     report,
     summarize,
-    top_n,
 )
 from silentspecies.io import metadata, write_report_csv
 from silentspecies.synth import PopulationSpec, generate, sample
@@ -101,37 +100,6 @@ class TestReport:
         rows = report(ds)
         assert rows[0].estimator_name == "chao1-bc"
         assert rows[0].used_fallback
-
-
-class TestTopN:
-    def test_keeps_largest_by_tokens(self):
-        ds = abundance_dataset({"big": {"a": 5}, "small": {"b": 1, "c": 2}})
-        kept = top_n(ds, 1)
-        assert set(kept.groups) == {"big"}
-
-    def test_n_at_group_count_is_identity(self):
-        ds = abundance_dataset({"g1": {"a": 2}, "g2": {"b": 3}})
-        kept = top_n(ds, 2)
-        assert kept.groups == ds.groups
-        assert report(kept)[-1] == report(ds)[-1]
-
-    def test_oversized_n_warns_and_returns_all(self):
-        ds = abundance_dataset({"g1": {"a": 2}})
-        with pytest.warns(UserWarning):
-            kept = top_n(ds, 5)
-        assert kept.groups == ds.groups
-
-    def test_ties_break_lexicographically(self):
-        ds = abundance_dataset({"beta": {"a": 3}, "alpha": {"b": 3}})
-        kept = top_n(ds, 1)
-        assert set(kept.groups) == {"alpha"}
-
-    def test_size_by_types(self):
-        ds = abundance_dataset(
-            {"many_types": {"a": 1, "b": 1, "c": 1}, "many_tokens": {"z": 100}}
-        )
-        assert set(top_n(ds, 1).groups) == {"many_tokens"}
-        assert set(top_n(ds, 1, size_by="types").groups) == {"many_types"}
 
 
 class TestPerGroupCorrelation:

@@ -66,6 +66,20 @@ def test_schema_error_exits_1(tmp_path, capsys):
     assert "row 2" in err
 
 
+def test_grouped_schema_error_names_file_row(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "sample_id,species_id,count,genre\n"
+        "m1,tuneA,3,Reel\n"
+        "m1,tuneB,1,Reel\n"
+        "m2,tuneC,1,Jig\n"
+        "m2, ,1,Reel\n",
+        encoding="utf-8",
+    )
+    assert run(["report", "--input", str(bad), "--group-by", "genre"]) == 1
+    assert "row 5: empty species_id" in capsys.readouterr().err
+
+
 def test_synth_pipe_into_estimate(tmp_path, monkeypatch, capsys):
     out = tmp_path / "synthetic.csv"
     code = run(
@@ -176,6 +190,12 @@ BOUNDARY_CASES = {
     "threads-env": (
         ["bootstrap", "--input", "sessions.csv", "--replicates", "100"],
         {"SILENTSPECIES_THREADS": "abc"}, 1, "SILENTSPECIES_THREADS"),
+    "threads-env-negative": (
+        ["bootstrap", "--input", "sessions.csv", "--replicates", "100"],
+        {"SILENTSPECIES_THREADS": "-1"}, 1, "SILENTSPECIES_THREADS"),
+    "sort-by-flag": (
+        ["report", "--input", "sessions.csv", "--group-by", "genre",
+         "--sort-by", "nope"], {}, 2, "argument --sort-by"),
     "sizes-flag": (
         ["accumulate", "--input", "sessions.csv", "--sizes", "1,x"], {}, 2,
         "argument --sizes"),

@@ -103,18 +103,16 @@ class TestCoverage:
 class TestDiversityProxies:
     def test_ttr(self):
         p = diversity_proxies(Tally({f"s{i}": 1 for i in range(389)} | {"big": 3823}, 4212, ABUNDANCE))
-        assert p.ttr == pytest.approx(390 / 4212)
-        assert p.ttr == pytest.approx(0.093, abs=1e-3)
-        assert p.str_ is None
+        assert p == pytest.approx(390 / 4212)
+        assert p == pytest.approx(0.093, abs=1e-3)
 
     def test_str(self):
         p = diversity_proxies(Tally({f"s{i}": 1 for i in range(926)}, 185, INCIDENCE))
-        assert p.str_ == pytest.approx(0.200, abs=1e-3)
-        assert p.ttr is None
+        assert p == pytest.approx(0.200, abs=1e-3)
 
     def test_degenerate_ttr(self):
         p = diversity_proxies(Tally({"a": 1}, 1, ABUNDANCE))
-        assert p.ttr == 1.0
+        assert p == 1.0
 
 
 spectra = st.dictionaries(
@@ -162,7 +160,7 @@ def test_chao2_uncorrected_is_chao1_arithmetic(freqs, m):
 def test_all_singletons_triggers_fallback():
     # TTR = 1 means every species is a singleton, so f2 = 0
     tally = Tally({"a": 1, "b": 1, "c": 1}, 3, ABUNDANCE)
-    assert diversity_proxies(tally).ttr == 1.0
+    assert diversity_proxies(tally) == 1.0
     from silentspecies import spectrum
 
     est = chao1(spectrum(tally))

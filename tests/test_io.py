@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 from silentspecies import ObservationRecord, SchemaError, tally_abundance
 from silentspecies.io import (
     metadata,
-    read_histogram,
     read_records,
-    read_spectrum,
     write_records_csv,
     write_report_json,
-    write_spectrum_csv,
 )
 
 
@@ -51,6 +48,10 @@ class TestReadRecords:
         with pytest.raises(SchemaError, match="row 2"):
             parse("sample_id,species_id,count\nm1,a,-3\n")
 
+    def test_empty_species_names_file_row(self):
+        with pytest.raises(SchemaError, match="row 4: empty species_id"):
+            parse("sample_id,species_id,count\nm1,a,1\nm1,b,1\nm2, ,1\n")
+
     def test_missing_header(self):
         with pytest.raises(SchemaError, match="header"):
             parse("")
@@ -83,36 +84,18 @@ class TestReadRecords:
 
 
 class TestReadHistogram:
+    """A species_id,count histogram is a long-format file without
+    sample_id."""
+
     def test_basic(self):
-        records = read_histogram(stdio.StringIO("species_id,count\na,3\nb,1\n"))
+        records = read_records(stdio.StringIO("species_id,count\na,3\nb,1\n"))
         tally = tally_abundance(records)
         assert tally.counts == {"a": 3, "b": 1}
-        assert all(r.sample_id == "_default" for r in records)
+        assert all(r.sample_id == "" for r in records)
 
     def test_wrong_header(self):
-        with pytest.raises(SchemaError, match="header"):
-            read_histogram(stdio.StringIO("a,b\n1,2\n"))
-
-
-class TestReadSpectrum:
-    def test_round_trip(self):
-        from silentspecies import FrequencySpectrum
-
-        spec = FrequencySpectrum({1: 5, 2: 3, 7: 1}, "abundance", 18)
-        buf = stdio.StringIO()
-        write_spectrum_csv(spec, buf, metadata("cmd", seed=1))
-        buf.seek(0)
-        parsed = read_spectrum(buf, "abundance")
-        assert parsed.freqs == spec.freqs
-        assert parsed.n_or_m == 18  # sum of r * f_r
-
-    def test_non_increasing_r_rejected(self):
-        with pytest.raises(SchemaError, match="increasing"):
-            read_spectrum(stdio.StringIO("r,f_r\n2,1\n1,5\n"), "abundance")
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(SchemaError, match="row 2"):
-            read_spectrum(stdio.StringIO("r,f_r\n1.5,2\n"), "abundance")
+        with pytest.raises(SchemaError, match="species_id"):
+            read_records(stdio.StringIO("a,b\n1,2\n"))
 
 
 def test_json_report_round_trips(tmp_path):

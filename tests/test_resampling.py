@@ -11,6 +11,7 @@ from silentspecies import (
     spectrum,
     Tally,
 )
+from silentspecies.resampling import THREADS_ENV, resolve_workers
 from silentspecies.synth import PopulationSpec, generate, sample
 
 
@@ -104,3 +105,24 @@ class TestBootstrap:
     def test_invalid_level(self, zipf_tally):
         with pytest.raises(ValueError):
             bootstrap_ci(zipf_tally, replicates=100, level=1.5, seed=0)
+
+
+class TestResolveWorkers:
+    # Only resolve_workers runs here; no pool is started at these values.
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert resolve_workers(100000) == 4
+        assert resolve_workers(3) == 3
+        assert resolve_workers(0) == 4
+        monkeypatch.setenv(THREADS_ENV, "100000")
+        assert resolve_workers() == 4
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_environment_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(THREADS_ENV, value)
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            resolve_workers()
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            resolve_workers(-2)

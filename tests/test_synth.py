@@ -5,13 +5,13 @@ from silentspecies import (
     InvalidSpec,
     chao1,
     spectrum,
+    tally_incidence,
 )
 from silentspecies.synth import (
     PopulationSpec,
     generate,
     sample,
     sample_site_records,
-    sample_sites,
 )
 
 
@@ -86,7 +86,7 @@ class TestSample:
 class TestSampleSites:
     def test_shapes_and_bounds(self):
         probs = generate(PopulationSpec(40, "zipf", alpha=1.0))
-        tally = sample_sites(probs, m=12, per_site_n=50, seed=5)
+        tally = tally_incidence(sample_site_records(probs, m=12, per_site_n=50, seed=5))
         assert tally.total == 12
         assert all(1 <= v <= 12 for v in tally.counts.values())
 
@@ -99,14 +99,12 @@ class TestSampleSites:
     def test_records_and_tally_agree(self):
         probs = generate(PopulationSpec(25, "uniform"))
         records = sample_site_records(probs, 8, 30, seed=3)
-        from silentspecies import tally_incidence
-
-        assert tally_incidence(records) == sample_sites(probs, 8, 30, seed=3)
+        assert tally_incidence(records) == tally_incidence(sample_site_records(probs, 8, 30, seed=3))
 
     def test_invalid_detection(self):
         probs = generate(PopulationSpec(5, "uniform"))
         with pytest.raises(InvalidSpec):
-            sample_sites(probs, 3, 10, detection=0.0)
+            tally_incidence(sample_site_records(probs, 3, 10, detection=0.0))
 
 
 def test_more_tokens_never_fewer_expected_species():

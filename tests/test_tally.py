@@ -109,6 +109,16 @@ class TestGroupBy:
         with pytest.raises(SchemaError, match="row 2"):
             group_by(records, "genre", "abundance")
 
+    def test_fault_named_by_position_in_whole_input(self):
+        records = [
+            rec("m1", "a", 1, genre="Reel"),
+            rec("m1", "b", 1, genre="Reel"),
+            rec("m2", "c", 1, genre="Jig"),
+            rec("", "d", 1, genre="Reel"),
+        ]
+        with pytest.raises(SchemaError, match="row 4: missing sample_id"):
+            group_by(records, "genre", "incidence")
+
     def test_zero_only_group_dropped(self):
         records = [rec("m1", "a", 1, genre="Reel"), rec("m2", "b", 0, genre="Jig")]
         ds = group_by(records, "genre", "abundance")
