@@ -51,6 +51,7 @@ from .tally import (
     FrequencySpectrum,
     GroupedDataset,
     ObservationRecord,
+    Observations,
     Tally,
     group_by,
     spectrum,
@@ -76,6 +77,7 @@ __all__ = [
     "InvalidSize",
     "InvalidSpec",
     "ObservationRecord",
+    "Observations",
     "PopulationSpec",
     "RegressionResult",
     "RichnessEstimate",

@@ -23,6 +23,7 @@ from .tally import (
     ABUNDANCE,
     INCIDENCE,
     ObservationRecord,
+    Observations,
     group_by,
     spectrum,
     tally_abundance,
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_records(args: argparse.Namespace) -> list[ObservationRecord]:
+def _read_records(args: argparse.Namespace) -> Observations:
     if args.stdin:
         return io.read_records(sys.stdin)
     with open(args.input, encoding="utf-8", newline="") as f:
@@ -154,8 +155,7 @@ def _command_string(argv: Sequence[str]) -> str:
     return "silentspecies " + " ".join(shlex.quote(a) for a in argv)
 
 
-def _estimate_rows(args: argparse.Namespace,
-                   records: list[ObservationRecord]):
+def _estimate_rows(args: argparse.Namespace, records: Observations):
     if args.group_by:
         dataset = group_by(records, args.group_by, args.mode)
         return analysis.report(

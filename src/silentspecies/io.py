@@ -15,99 +15,114 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .analysis import GroupReportRow
 from .errors import SchemaError
 from .resampling import AccumulationPoint, BootstrapResult
 from .stats import RegressionResult, TrendFit
-from .tally import ABUNDANCE, FrequencySpectrum, ObservationRecord
+from .tally import (
+    ABUNDANCE,
+    Column,
+    FrequencySpectrum,
+    ObservationRecord,
+    Observations,
+)
 from .version import __version__
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
 _CHUNK_ROWS = 1024
 
 
-def _data_lines(f: TextIO) -> Iterator[str]:
-    """Skip the `#` metadata lines before the header, so our own outputs
-    round-trip; every line after the header is data."""
+def read_records(f: TextIO) -> Observations:
+    """Parse long-format CSV into an Observations table. Extra columns are
+    kept, interned like the ids, for grouping.
+
+    The `#` metadata lines before the header are skipped, so our own outputs
+    round-trip; every line after the header is data. Blank rows are skipped.
+    A record's row is the file line on which it starts, and every SchemaError
+    names it.
+    """
     lines = iter(f)
-    for line in lines:
-        if not line.lstrip().startswith("#"):
-            yield line
+    skipped = 0
+    for first in lines:
+        if not first.lstrip().startswith("#"):
             break
-    yield from lines
-
-
-def _read_table(
-    f: TextIO, what: str
-) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Header names and the numbered data rows of a CSV table. Blank rows
-    are skipped; a row whose field count differs from the header's raises
-    SchemaError naming the row."""
-    reader = csv.reader(_data_lines(f))
+        skipped += 1
+    else:
+        raise SchemaError("long-format CSV: missing header row")
+    reader = csv.reader(chain([first], lines))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{what}: missing header row") from None
-    names = [h.strip() for h in header]
-    dupes = {n for n in names if names.count(n) > 1}
+        header = [h.strip() for h in next(reader)]
+    except csv.Error as exc:
+        raise SchemaError(f"row {skipped + 1}: {exc}") from None
+    dupes = {h for h in header if header.count(h) > 1}
     if dupes:
-        raise SchemaError(f"{what}: duplicate header column(s) {sorted(dupes)}")
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(names):
-                raise SchemaError(
-                    f"row {row_num}: expected {len(names)} fields, got {len(row)}"
-                )
-            yield row_num, row
-
-    return names, rows()
-
-
-def _parse_int(value: str, row: int, column: str) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
         raise SchemaError(
-            f"row {row}: non-integer {column} {value.strip()!r}"
-        ) from None
-
-
-def read_records(f: TextIO) -> list[ObservationRecord]:
-    """Parse long-format CSV into observation records. Extra columns are
-    kept as record attributes for grouping."""
-    header, rows = _read_table(f, "long-format CSV")
+            f"long-format CSV: duplicate header column(s) {sorted(dupes)}"
+        )
     if "species_id" not in header:
         raise SchemaError("long-format CSV: missing species_id column")
+    width = len(header)
     species_col = header.index("species_id")
     sample_col = header.index("sample_id") if "sample_id" in header else None
     count_col = header.index("count") if "count" in header else None
-    extra = [(h, i) for i, h in enumerate(header) if h not in LONG_COLUMNS]
-    records: list[ObservationRecord] = []
-    for row_num, row in rows:
-        count = 1
-        if count_col is not None and row[count_col].strip() != "":
-            count = _parse_int(row[count_col], row_num, "count")
-        if count < 0:
-            raise SchemaError(f"row {row_num}: negative count {count}")
-        species = row[species_col].strip()
-        if not species:
-            raise SchemaError(f"row {row_num}: empty species_id")
-        records.append(
-            ObservationRecord(
-                sample_id="" if sample_col is None else row[sample_col].strip(),
-                species_id=species,
-                count=count,
-                attrs={h: row[i].strip() for h, i in extra},
-            )
-        )
-    return records
+    sample_ids: dict[str, int] = {"": 0} if sample_col is None else {}
+    species_ids: dict[str, int] = {}
+    extra = [(h, i, {}, []) for i, h in enumerate(header)
+             if h not in LONG_COLUMNS]
+    sample_codes: list[int] = []
+    species_codes: list[int] = []
+    counts: list[int] = []
+    rows: list[int] = []
+    line = skipped + reader.line_num  # the last file line the reader consumed
+    try:
+        for row in reader:
+            start, line = line + 1, skipped + reader.line_num
+            if len(row) != width:
+                if any(map(str.strip, row)):
+                    raise SchemaError(
+                        f"row {start}: expected {width} fields, got {len(row)}"
+                    )
+                continue
+            count = 1
+            if count_col is not None:
+                text = row[count_col].strip()
+                if text:
+                    try:
+                        count = int(text)
+                    except ValueError:
+                        raise SchemaError(
+                            f"row {start}: non-integer count {text!r}"
+                        ) from None
+                    if count < 0:
+                        raise SchemaError(f"row {start}: negative count {count}")
+            species = row[species_col].strip()
+            if not species:
+                if any(map(str.strip, row)):
+                    raise SchemaError(f"row {start}: empty species_id")
+                continue
+            species_codes.append(species_ids.setdefault(species, len(species_ids)))
+            if sample_col is not None:
+                sample = row[sample_col].strip()
+                sample_codes.append(sample_ids.setdefault(sample, len(sample_ids)))
+            for _, i, ids, codes in extra:
+                codes.append(ids.setdefault(row[i].strip(), len(ids)))
+            counts.append(count)
+            rows.append(start)
+    except csv.Error as exc:
+        raise SchemaError(f"row {line + 1}: {exc}") from None
+    if sample_col is None:
+        sample_codes = [0] * len(counts)
+    return Observations.of(
+        Column.of(sample_ids, sample_codes),
+        Column.of(species_ids, species_codes),
+        counts,
+        rows,
+        {h: Column.of(ids, codes) for h, _, ids, codes in extra},
+    )
 
 
 # ---------------------------------------------------------------------------

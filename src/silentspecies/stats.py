@@ -138,7 +138,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     syy = float(dy @ dy)
     sxy = float(dx @ dy)
     r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
-    slope = math.ldexp(sxy / sxx, y_exp - x_exp)
+    try:
+        slope = math.ldexp(sxy / sxx, y_exp - x_exp)
+    except OverflowError:  # the true slope lies beyond the float range
+        slope = math.copysign(math.inf, sxy)
     intercept = float(ya.mean() - slope * xa.mean())
     df = n - 2
     if abs(r) == 1.0:

@@ -6,18 +6,26 @@ Abundance mode sums those counts per species; incidence mode only registers
 presence/absence of a species per distinct sample. The frequency spectrum
 (how many species were seen exactly r times / in exactly r samples) is the
 sole input the richness estimators need.
+
+Records are tallied as columns: `Observations` interns sample, species and
+group ids to int64 codes, and the tallies are numpy reductions over those
+codes. Record lists are converted to that table once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EmptyDataset, SchemaError
 
 ABUNDANCE = "abundance"
 INCIDENCE = "incidence"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,114 @@ class ObservationRecord:
     species_id: str
     count: int = 1
     attrs: Mapping[str, str] = field(default_factory=dict)
+
+
+class Column(NamedTuple):
+    """An interned column: record i holds `labels[codes[i]]`. Labels are
+    stripped and unique, so at most one, coded `empty`, is empty."""
+
+    labels: list[str]
+    codes: np.ndarray  # int64, one per record
+    empty: int = -1  # the empty label's code, -1 when there is none
+
+    @classmethod
+    def of(cls, ids: Mapping[str, int], codes: Sequence[int]) -> Column:
+        """Column from an interning map (label -> code, in code order) and
+        the per-record codes."""
+        return cls(list(ids), np.asarray(codes, dtype=np.int64),
+                   ids.get("", -1))
+
+    def blank(self) -> np.ndarray:
+        """Per record: is its value empty?"""
+        return self.codes == self.empty
+
+    def select(self, index: np.ndarray) -> Column:
+        """The column's records at `index`."""
+        return Column(self.labels, self.codes[index], self.empty)
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """Observation records as columns: interned samples, species and extra
+    columns (stripped labels), an int64 count and the row of each record.
+
+    `read_records` numbers rows by the file line on which a record starts;
+    `from_records` numbers them by position from 1. Iterating yields
+    ObservationRecords.
+    """
+
+    sample: Column
+    species: Column
+    counts: np.ndarray  # int64
+    rows: np.ndarray  # int64
+    attrs: Mapping[str, Column] = field(default_factory=dict)
+
+    @classmethod
+    def of(
+        cls,
+        sample: Column,
+        species: Column,
+        counts: Sequence[int],
+        rows: Sequence[int],
+        attrs: Mapping[str, Column],
+    ) -> Observations:
+        """Table of Python-int counts and rows; a count outside int64 raises
+        SchemaError naming its row."""
+        try:
+            count_array = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, c in enumerate(counts)
+                     if not -_INT64_MAX - 1 <= c <= _INT64_MAX)
+            raise SchemaError(
+                f"row {rows[i]}: count {counts[i]} outside the int64 range"
+            ) from None
+        return cls(sample, species, count_array,
+                   np.asarray(rows, dtype=np.int64), attrs)
+
+    @classmethod
+    def from_records(cls, records: Iterable[ObservationRecord]) -> Observations:
+        """Intern a record list. Ids and attribute values are stripped; a
+        record without an attribute holds an empty value."""
+        records = list(records)
+        names = dict.fromkeys(name for rec in records for name in rec.attrs)
+
+        def intern(values: Iterable[str]) -> Column:
+            ids: dict[str, int] = {}
+            return Column.of(ids, [ids.setdefault(v.strip(), len(ids))
+                                   for v in values])
+
+        return cls.of(
+            intern(rec.sample_id for rec in records),
+            intern(rec.species_id for rec in records),
+            [rec.count for rec in records],
+            range(1, len(records) + 1),
+            {name: intern(rec.attrs.get(name, "") for rec in records)
+             for name in names},
+        )
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[ObservationRecord]:
+        attrs = [(name, col.labels, col.codes.tolist())
+                 for name, col in self.attrs.items()]
+        columns = zip(self.sample.codes.tolist(), self.species.codes.tolist(),
+                      self.counts.tolist())
+        for i, (sample, species, count) in enumerate(columns):
+            yield ObservationRecord(
+                self.sample.labels[sample], self.species.labels[species],
+                count, {name: labels[codes[i]] for name, labels, codes in attrs},
+            )
+
+    def select(self, index: np.ndarray) -> Observations:
+        """The records at `index`, sharing this table's labels."""
+        return Observations(
+            self.sample.select(index),
+            self.species.select(index),
+            self.counts[index],
+            self.rows[index],
+            {name: col.select(index) for name, col in self.attrs.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -87,54 +203,79 @@ class GroupedDataset:
     mode: str
 
 
-def _clean_species(record: ObservationRecord, row: int | None = None) -> str:
-    where = f"row {row}: " if row is not None else ""
-    if record.count < 0:
-        raise SchemaError(f"{where}negative count {record.count!r}")
-    species = record.species_id.strip()
-    if not species:
-        raise SchemaError(f"{where}empty species_id")
-    return species
+def _observations(
+    records: Observations | Iterable[ObservationRecord],
+) -> Observations:
+    if isinstance(records, Observations):
+        return records
+    return Observations.from_records(records)
 
 
-def tally_abundance(records: Iterable[ObservationRecord]) -> Tally:
+def _check(obs: Observations, mode: str) -> None:
+    """Raise SchemaError naming the row of the first record that cannot be
+    tallied in `mode`."""
+    bad = (obs.counts < 0) | obs.species.blank()
+    if mode == INCIDENCE:
+        bad |= obs.sample.blank()
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    row = obs.rows[i]
+    if obs.counts[i] < 0:
+        raise SchemaError(f"row {row}: negative count {int(obs.counts[i])}")
+    if not obs.species.labels[obs.species.codes[i]]:
+        raise SchemaError(f"row {row}: empty species_id")
+    raise SchemaError(f"row {row}: missing sample_id in incidence mode")
+
+
+def _tally(labels: Sequence[str], species: np.ndarray, counts: np.ndarray,
+           total: int, mode: str) -> Tally:
+    """Tally of the species codes present and their counts."""
+    if not len(species):
+        raise EmptyDataset("no records with positive counts")
+    return Tally(dict(zip([labels[i] for i in species.tolist()],
+                          counts.tolist())), total, mode)
+
+
+def tally_abundance(
+    records: Observations | Iterable[ObservationRecord],
+) -> Tally:
     """Sum occurrence counts per species. Zero-count records are dropped;
     an input that is empty after dropping them raises EmptyDataset."""
-    counts: Counter[str] = Counter()
-    for i, rec in enumerate(records, start=1):
-        species = _clean_species(rec, i)
-        if rec.count == 0:
-            continue
-        counts[species] += rec.count
-    if not counts:
-        raise EmptyDataset("no records with positive counts")
-    return Tally(dict(counts), sum(counts.values()), ABUNDANCE)
+    obs = _observations(records)
+    _check(obs, ABUNDANCE)
+    total = sum(obs.counts.tolist())
+    if total > _INT64_MAX:
+        raise SchemaError(f"total count {total} exceeds the int64 range")
+    present = obs.counts > 0
+    species, index = np.unique(obs.species.codes[present], return_inverse=True)
+    sums = np.zeros(len(species), dtype=np.int64)
+    np.add.at(sums, index, obs.counts[present])
+    return _tally(obs.species.labels, species, sums, total, ABUNDANCE)
 
 
-def tally_incidence(records: Iterable[ObservationRecord]) -> Tally:
+def tally_incidence(
+    records: Observations | Iterable[ObservationRecord],
+) -> Tally:
     """Count, per species, the number of distinct samples containing it.
 
     Duplicate (sample, species) observations collapse to a single incidence:
     a species used many times within one sample is still a single presence.
     """
-    seen: set[tuple[str, str]] = set()
-    samples: set[str] = set()
-    for i, rec in enumerate(records, start=1):
-        species = _clean_species(rec, i)
-        sample = rec.sample_id.strip()
-        if not sample:
-            raise SchemaError(f"row {i}: missing sample_id in incidence mode")
-        if rec.count == 0:
-            continue
-        seen.add((sample, species))
-        samples.add(sample)
-    if not seen:
-        raise EmptyDataset("no records with positive counts")
-    incidences: Counter[str] = Counter(species for _, species in seen)
-    return Tally(dict(incidences), len(samples), INCIDENCE)
+    obs = _observations(records)
+    _check(obs, INCIDENCE)
+    present = obs.counts > 0
+    n_species = max(len(obs.species.labels), 1)  # 1 for an empty table
+    pairs = np.unique(obs.sample.codes[present] * n_species
+                      + obs.species.codes[present])
+    species, incidences = np.unique(pairs % n_species, return_counts=True)
+    samples = len(np.unique(pairs // n_species))
+    return _tally(obs.species.labels, species, incidences, samples, INCIDENCE)
 
 
-def tally_records(records: Iterable[ObservationRecord], mode: str) -> Tally:
+def tally_records(
+    records: Observations | Iterable[ObservationRecord], mode: str
+) -> Tally:
     """Abundance or incidence tally of `records`, as `mode` says."""
     if mode == ABUNDANCE:
         return tally_abundance(records)
@@ -152,30 +293,36 @@ def spectrum(tally: Tally) -> FrequencySpectrum:
 
 
 def group_by(
-    records: Sequence[ObservationRecord], group_field: str, mode: str
+    records: Observations | Iterable[ObservationRecord],
+    group_field: str,
+    mode: str,
 ) -> GroupedDataset:
     """Partition records by a grouping attribute and tally each partition.
 
     Every record must carry the attribute; a missing value raises SchemaError
-    naming the row. Groups whose records are all zero-count are dropped.
+    naming the row, as does any record the mode cannot tally. Groups whose
+    records are all zero-count are dropped.
     """
-    partitions: dict[str, list[ObservationRecord]] = {}
-    for i, rec in enumerate(records, start=1):
-        value = rec.attrs.get(group_field, "").strip()
-        if not value:
-            raise SchemaError(f"row {i}: missing group attribute {group_field!r}")
-        partitions.setdefault(value, []).append(rec)
+    obs = _observations(records)
+    column = obs.attrs.get(group_field)
+    if column is None:  # no such column: every record misses the value
+        column = Column([""], np.zeros(len(obs), dtype=np.int64), 0)
+    missing = column.blank()
+    if missing.any():
+        raise SchemaError(f"row {obs.rows[missing.argmax()]}: missing group "
+                          f"attribute {group_field!r}")
+    _check(obs, mode)
+    # Group c's records are order[bounds[c]:bounds[c + 1]], in input order.
+    order = np.argsort(column.codes, kind="stable")
+    bounds = np.searchsorted(column.codes[order],
+                             np.arange(len(column.labels) + 1)).tolist()
     groups: dict[str, Tally] = {}
-    for key, part in partitions.items():
+    for code, key in enumerate(column.labels):
+        part = order[bounds[code]:bounds[code + 1]]
         try:
-            groups[key] = tally_records(part, mode)
+            groups[key] = tally_records(obs.select(part), mode)
         except EmptyDataset:
             continue  # group contained only zero-count placeholder rows
-        except SchemaError:
-            # A group numbers its records from 1; the whole input names
-            # the fault by its position in `records`.
-            tally_records(records, mode)
-            raise
     if not groups:
         raise EmptyDataset("all groups empty after dropping zero counts")
     return GroupedDataset(groups, group_field, mode)

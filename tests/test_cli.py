@@ -226,3 +226,48 @@ def test_bad_flag_or_environment_gives_one_error_line(
     assert len(errors) == 1
     assert named in errors[0]
     assert captured.out == ""
+
+
+HEADER = "sample_id,species_id,count\n"
+GROUPED = "sample_id,species_id,count,genre\n"
+INCIDENCE_BY_GENRE = ["--mode", "incidence", "--group-by", "genre"]
+
+# (file text, extra estimate flags, text the one `error:` line must name)
+MALFORMED_FILES = {
+    "empty-file": ("", [], "missing header row"),
+    "duplicate-header": ("sample_id,species_id,species_id\nm1,a,b\n", [],
+                         "duplicate header"),
+    "no-species-column": ("sample_id,count\nm1,1\n", [],
+                          "missing species_id column"),
+    "wrong-field-count": (HEADER + "m1,a,1\nm2,b\n", [],
+                          "row 3: expected 3 fields, got 2"),
+    "non-integer-count": (HEADER + "m1,a,1\nm1,b,two\n", [],
+                          "row 3: non-integer count 'two'"),
+    "negative-count": ("# tool: x\n# seed: 1\n" + HEADER + "m1,a,1\nm2,b,-1\n",
+                       [], "row 5: negative count -1"),
+    "empty-species": (HEADER + "m1,a,1\nm1, ,1\n", [], "row 3: empty species_id"),
+    "blank-sample-incidence": (GROUPED + "m1,a,1,J\n\n,c,1,J\n",
+                               INCIDENCE_BY_GENRE, "row 4: missing sample_id"),
+    "missing-group-value": (GROUPED + "m1,a,1,J\nm2,b,1, \n",
+                            INCIDENCE_BY_GENRE,
+                            "row 3: missing group attribute 'genre'"),
+    "all-counts-zero": (HEADER + "m1,a,0\nm2,b,0\n", [],
+                        "no records with positive counts"),
+    "overlong-field": (HEADER + "m1,a,1\nm2," + "b" * 200_000 + ",1\n", [],
+                       "row 3: field larger than field limit"),
+    "count-beyond-int64": (HEADER + f"m1,a,{2**63}\n", [],
+                           "row 2: count 9223372036854775808 outside"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_gives_one_error_line(case, tmp_path, capsys):
+    text, flags, named = MALFORMED_FILES[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run(["estimate", "--input", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+    assert captured.out == ""

@@ -14,7 +14,7 @@ from silentspecies.io import (
 
 
 def parse(text):
-    return read_records(stdio.StringIO(text))
+    return list(read_records(stdio.StringIO(text)))
 
 
 class TestReadRecords:
@@ -76,6 +76,30 @@ class TestReadRecords:
             ("m1", "tuneA"),
             ("#s2", "tuneB"),
         ]
+
+    def test_rows_are_file_lines(self):
+        obs = read_records(stdio.StringIO(
+            "# tool: x\n# seed: 1\nsample_id,species_id,count\n"
+            'm1,a,1\n\n"m\n2",b,1\nm3,c,1\n'
+        ))
+        assert obs.rows.tolist() == [4, 6, 8]
+
+    def test_row_after_metadata_names_file_line(self):
+        with pytest.raises(SchemaError, match="row 5: negative count"):
+            parse("# tool: x\n# seed: 1\nsample_id,species_id,count\n"
+                  "m1,a,1\nm2,b,-1\n")
+
+    @pytest.mark.parametrize("text, row", [
+        ("# seed: 1\n" + "x" * 200_000 + ",species_id\nm1,a\n", 2),
+        ("sample_id,species_id\nm1,a\nm2," + "b" * 200_000 + "\n", 3),
+    ])
+    def test_overlong_field_names_row(self, text, row):
+        with pytest.raises(SchemaError, match=f"row {row}: field larger"):
+            parse(text)
+
+    def test_count_beyond_int64_names_row(self):
+        with pytest.raises(SchemaError, match="row 3: count .* int64"):
+            parse(f"sample_id,species_id,count\nm1,a,1\nm2,b,{2**63}\n")
 
     def test_whitespace_trimmed(self):
         records = parse("sample_id,species_id,count\n m1 , a ,1\n")
@@ -145,4 +169,4 @@ def test_records_csv_round_trip(records):
     buf = stdio.StringIO(newline="")
     write_records_csv(records, buf, metadata("cmd", seed=1))
     buf.seek(0)
-    assert read_records(buf) == records
+    assert list(read_records(buf)) == records

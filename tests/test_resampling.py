@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from silentspecies import (
@@ -13,6 +15,28 @@ from silentspecies import (
 )
 from silentspecies.resampling import THREADS_ENV, resolve_workers
 from silentspecies.synth import PopulationSpec, generate, sample
+
+
+def _absent(n, k, removed):
+    """Probability that k tokens drawn without replacement from n miss
+    `removed` given tokens: C(n - removed, k) / C(n, k)."""
+    if n - removed < k:
+        return 0.0
+    return math.exp(math.lgamma(n - removed + 1) - math.lgamma(n - removed - k + 1)
+                    + math.lgamma(n - k + 1) - math.lgamma(n + 1))
+
+
+def rarefied_richness(counts, k):
+    """Exact mean (Hurlbert 1971) and variance (Heck, van Belle & Simberloff
+    1975) of the number of species in a subsample of k tokens."""
+    n = sum(counts)
+    q = [_absent(n, k, x) for x in counts]
+    mean = sum(1.0 - qi for qi in q)
+    variance = sum(qi * (1.0 - qi) for qi in q)
+    for i, x in enumerate(counts):
+        for j in range(i):
+            variance += 2.0 * (_absent(n, k, x + counts[j]) - q[i] * q[j])
+    return mean, variance
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +67,16 @@ class TestAccumulate:
         serial = accumulate(zipf_tally, threads=1, **kwargs)
         parallel = accumulate(zipf_tally, threads=4, **kwargs)
         assert serial == parallel
+
+    def test_mean_observed_richness_matches_exact_expectation(self, zipf_tally):
+        # Within 4 Monte Carlo standard errors of E[S_k] at every k.
+        replicates = 200
+        counts = list(zipf_tally.counts.values())
+        points = accumulate(zipf_tally, [20, 250, 1000, 4000],
+                            replicates=replicates, seed=17)
+        for p in points:
+            mean, variance = rarefied_richness(counts, p.k)
+            assert abs(p.mean_s_obs - mean) <= 4 * math.sqrt(variance / replicates)
 
     def test_mean_observed_richness_grows_with_k(self, zipf_tally):
         points = accumulate(

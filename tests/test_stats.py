@@ -79,6 +79,12 @@ class TestPearson:
         assert res.r == -1.0
         assert res.slope == pytest.approx(-2.0)
 
+    def test_slope_beyond_float_range_is_infinite(self):
+        # 4 / 2.2e-308 overflows; r is still exact
+        res = pearson([0.0, 0.0, 2.2250738585072014e-308], [0.0, 0.0, 4.0])
+        assert res.r == 1.0
+        assert res.slope == math.inf
+
 
 finite_floats = st.floats(min_value=-100, max_value=100)
 

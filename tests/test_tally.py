@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from silentspecies import (
+    ABUNDANCE,
+    INCIDENCE,
     EmptyDataset,
     ObservationRecord,
     SchemaError,
@@ -9,6 +13,7 @@ from silentspecies import (
     spectrum,
     tally_abundance,
     tally_incidence,
+    tally_records,
 )
 
 records_strategy = st.lists(
@@ -119,6 +124,15 @@ class TestGroupBy:
         with pytest.raises(SchemaError, match="row 4: missing sample_id"):
             group_by(records, "genre", "incidence")
 
+    def test_first_fault_in_input_order_named(self):
+        records = [
+            rec("m1", "a", 1, genre="Reel"),
+            rec("", "b", 1, genre="Jig"),
+            rec("", "c", 1, genre="Reel"),
+        ]
+        with pytest.raises(SchemaError, match="row 2: missing sample_id"):
+            group_by(records, "genre", "incidence")
+
     def test_zero_only_group_dropped(self):
         records = [rec("m1", "a", 1, genre="Reel"), rec("m2", "b", 0, genre="Jig")]
         ds = group_by(records, "genre", "abundance")
@@ -199,3 +213,61 @@ def test_incidence_bounded_by_m_and_dedup_stable(records):
         seen.add(key)
         collapsed.append(ObservationRecord(key[0], key[1], 1))
     assert tally_incidence(collapsed) == t
+
+
+def padded(names):
+    """Ids drawn from `names`, with whitespace around them."""
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return st.tuples(pad, st.sampled_from(names), pad).map("".join)
+
+
+grouped_records_strategy = st.lists(
+    st.builds(
+        ObservationRecord,
+        sample_id=padded(["m1", "m2", "m3"]),
+        species_id=padded(list("abcd")),
+        count=st.integers(min_value=0, max_value=4),
+        attrs=st.fixed_dictionaries({"genre": padded(["Reel", "Jig"])}),
+    ),
+    max_size=40,
+)
+
+
+def counter_oracle(records, mode):
+    """(counts, total) by Counter and set, or None when nothing is left."""
+    kept = [(r.sample_id.strip(), r.species_id.strip(), r.count)
+            for r in records if r.count > 0]
+    if mode == ABUNDANCE:
+        counts = Counter()
+        for _, species, count in kept:
+            counts[species] += count
+        total = sum(counts.values())
+    else:
+        pairs = {(sample, species) for sample, species, _ in kept}
+        counts = Counter(species for _, species in pairs)
+        total = len({sample for sample, _ in pairs})
+    return (dict(counts), total) if counts else None
+
+
+@given(grouped_records_strategy, st.sampled_from([ABUNDANCE, INCIDENCE]))
+def test_columnar_tally_matches_counter_oracle(records, mode):
+    expected = counter_oracle(records, mode)
+    if expected is None:
+        with pytest.raises(EmptyDataset):
+            tally_records(records, mode)
+    else:
+        tally = tally_records(records, mode)
+        assert (tally.counts, tally.total) == expected
+    parts = {}
+    for r in records:
+        parts.setdefault(r.attrs["genre"].strip(), []).append(r)
+    expected_groups = {key: counter_oracle(part, mode)
+                       for key, part in parts.items()}
+    expected_groups = {k: v for k, v in expected_groups.items() if v}
+    if not expected_groups:
+        with pytest.raises(EmptyDataset):
+            group_by(records, "genre", mode)
+        return
+    ds = group_by(records, "genre", mode)
+    assert {key: (t.counts, t.total) for key, t in ds.groups.items()} == (
+        expected_groups)
