@@ -37,21 +37,21 @@ _CHUNK_ROWS = 1024
 
 
 def read_records(f: TextIO) -> Observations:
-    """Parse long-format CSV into an Observations table. Extra columns are
-    kept, interned like the ids, for grouping.
+    """Parse long-format CSV into an Observations table. Every column but
+    `count` is interned alike, so any of them can group the records.
 
-    The `#` metadata lines before the header are skipped, so our own outputs
-    round-trip; every line after the header is data. Blank rows are skipped.
-    A record's row is the file line on which it starts, and every SchemaError
-    names it.
+    A leading byte-order mark is dropped. The `#` metadata lines before the
+    header are skipped, so our own outputs round-trip; every line after the
+    header is data. Blank rows are skipped. A record's row is the file line
+    on which it starts, and every SchemaError names it.
     """
     lines = iter(f)
+    first = next(lines, "").removeprefix("\ufeff")  # as spreadsheets write it
     skipped = 0
-    for first in lines:
-        if not first.lstrip().startswith("#"):
-            break
+    while first.lstrip().startswith("#"):
         skipped += 1
-    else:
+        first = next(lines, "")
+    if not first:
         raise SchemaError("long-format CSV: missing header row")
     reader = csv.reader(chain([first], lines))
     try:
@@ -67,14 +67,9 @@ def read_records(f: TextIO) -> Observations:
         raise SchemaError("long-format CSV: missing species_id column")
     width = len(header)
     species_col = header.index("species_id")
-    sample_col = header.index("sample_id") if "sample_id" in header else None
     count_col = header.index("count") if "count" in header else None
-    sample_ids: dict[str, int] = {"": 0} if sample_col is None else {}
-    species_ids: dict[str, int] = {}
-    extra = [(h, i, {}, []) for i, h in enumerate(header)
-             if h not in LONG_COLUMNS]
-    sample_codes: list[int] = []
-    species_codes: list[int] = []
+    names = [h for h in header if h != "count"]
+    columns = [(header.index(h), {}, []) for h in names]
     counts: list[int] = []
     rows: list[int] = []
     line = skipped + reader.line_num  # the last file line the reader consumed
@@ -99,29 +94,21 @@ def read_records(f: TextIO) -> Observations:
                         ) from None
                     if count < 0:
                         raise SchemaError(f"row {start}: negative count {count}")
-            species = row[species_col].strip()
-            if not species:
+            if not row[species_col].strip():
                 if any(map(str.strip, row)):
                     raise SchemaError(f"row {start}: empty species_id")
                 continue
-            species_codes.append(species_ids.setdefault(species, len(species_ids)))
-            if sample_col is not None:
-                sample = row[sample_col].strip()
-                sample_codes.append(sample_ids.setdefault(sample, len(sample_ids)))
-            for _, i, ids, codes in extra:
+            for i, ids, codes in columns:
                 codes.append(ids.setdefault(row[i].strip(), len(ids)))
             counts.append(count)
             rows.append(start)
     except csv.Error as exc:
         raise SchemaError(f"row {line + 1}: {exc}") from None
-    if sample_col is None:
-        sample_codes = [0] * len(counts)
     return Observations.of(
-        Column.of(sample_ids, sample_codes),
-        Column.of(species_ids, species_codes),
+        {h: Column.of(ids, codes)
+         for h, (_, ids, codes) in zip(names, columns)},
         counts,
         rows,
-        {h: Column.of(ids, codes) for h, _, ids, codes in extra},
     )
 
 

@@ -7,9 +7,10 @@ presence/absence of a species per distinct sample. The frequency spectrum
 (how many species were seen exactly r times / in exactly r samples) is the
 sole input the richness estimators need.
 
-Records are tallied as columns: `Observations` interns sample, species and
-group ids to int64 codes, and the tallies are numpy reductions over those
-codes. Record lists are converted to that table once.
+Records are tallied as columns: `Observations` interns every input column
+(sample, species and group ids alike) to int64 codes, and the tallies are
+numpy reductions over those codes. Record lists are converted to that table
+once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Column(NamedTuple):
 
     labels: list[str]
     codes: np.ndarray  # int64, one per record
-    empty: int = -1  # the empty label's code, -1 when there is none
+    empty: int  # the empty label's code, -1 when there is none
 
     @classmethod
     def of(cls, ids: Mapping[str, int], codes: Sequence[int]) -> Column:
@@ -61,35 +62,28 @@ class Column(NamedTuple):
         """Per record: is its value empty?"""
         return self.codes == self.empty
 
-    def select(self, index: np.ndarray) -> Column:
-        """The column's records at `index`."""
-        return Column(self.labels, self.codes[index], self.empty)
-
 
 @dataclass(frozen=True, eq=False)
 class Observations:
-    """Observation records as columns: interned samples, species and extra
-    columns (stripped labels), an int64 count and the row of each record.
+    """Observation records as columns: one interned Column (stripped labels)
+    per input column except `count` (sample_id, species_id and every extra
+    column alike), an int64 count and the row of each record.
 
     `read_records` numbers rows by the file line on which a record starts;
     `from_records` numbers them by position from 1. Iterating yields
     ObservationRecords.
     """
 
-    sample: Column
-    species: Column
+    columns: Mapping[str, Column]
     counts: np.ndarray  # int64
     rows: np.ndarray  # int64
-    attrs: Mapping[str, Column] = field(default_factory=dict)
 
     @classmethod
     def of(
         cls,
-        sample: Column,
-        species: Column,
+        columns: Mapping[str, Column],
         counts: Sequence[int],
         rows: Sequence[int],
-        attrs: Mapping[str, Column],
     ) -> Observations:
         """Table of Python-int counts and rows; a count outside int64 raises
         SchemaError naming its row."""
@@ -101,13 +95,13 @@ class Observations:
             raise SchemaError(
                 f"row {rows[i]}: count {counts[i]} outside the int64 range"
             ) from None
-        return cls(sample, species, count_array,
-                   np.asarray(rows, dtype=np.int64), attrs)
+        return cls(columns, count_array, np.asarray(rows, dtype=np.int64))
 
     @classmethod
     def from_records(cls, records: Iterable[ObservationRecord]) -> Observations:
         """Intern a record list. Ids and attribute values are stripped; a
-        record without an attribute holds an empty value."""
+        record without an attribute holds an empty value. Where `attrs` has
+        a key `sample_id` or `species_id`, the record's own field wins."""
         records = list(records)
         names = dict.fromkeys(name for rec in records for name in rec.attrs)
 
@@ -116,37 +110,38 @@ class Observations:
             return Column.of(ids, [ids.setdefault(v.strip(), len(ids))
                                    for v in values])
 
-        return cls.of(
-            intern(rec.sample_id for rec in records),
-            intern(rec.species_id for rec in records),
-            [rec.count for rec in records],
-            range(1, len(records) + 1),
-            {name: intern(rec.attrs.get(name, "") for rec in records)
-             for name in names},
-        )
+        columns = {name: intern(rec.attrs.get(name, "") for rec in records)
+                   for name in names}
+        columns["sample_id"] = intern(rec.sample_id for rec in records)
+        columns["species_id"] = intern(rec.species_id for rec in records)
+        return cls.of(columns, [rec.count for rec in records],
+                      range(1, len(records) + 1))
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def __iter__(self) -> Iterator[ObservationRecord]:
-        attrs = [(name, col.labels, col.codes.tolist())
-                 for name, col in self.attrs.items()]
-        columns = zip(self.sample.codes.tolist(), self.species.codes.tolist(),
-                      self.counts.tolist())
-        for i, (sample, species, count) in enumerate(columns):
-            yield ObservationRecord(
-                self.sample.labels[sample], self.species.labels[species],
-                count, {name: labels[codes[i]] for name, labels, codes in attrs},
-            )
+        columns = [(name, col.labels, col.codes.tolist())
+                   for name, col in self.columns.items()]
+        for i, count in enumerate(self.counts.tolist()):
+            attrs = {name: labels[codes[i]] for name, labels, codes in columns}
+            yield ObservationRecord(attrs.pop("sample_id", ""),
+                                    attrs.pop("species_id"), count, attrs)
+
+    def column(self, name: str) -> Column:
+        """The named column; for a name the table lacks, a column whose
+        every value is empty."""
+        if name in self.columns:
+            return self.columns[name]
+        return Column([""], np.zeros(len(self), dtype=np.int64), 0)
 
     def select(self, index: np.ndarray) -> Observations:
         """The records at `index`, sharing this table's labels."""
         return Observations(
-            self.sample.select(index),
-            self.species.select(index),
+            {name: col._replace(codes=col.codes[index])
+             for name, col in self.columns.items()},
             self.counts[index],
             self.rows[index],
-            {name: col.select(index) for name, col in self.attrs.items()},
         )
 
 
@@ -214,16 +209,17 @@ def _observations(
 def _check(obs: Observations, mode: str) -> None:
     """Raise SchemaError naming the row of the first record that cannot be
     tallied in `mode`."""
-    bad = (obs.counts < 0) | obs.species.blank()
+    species = obs.column("species_id")
+    bad = (obs.counts < 0) | species.blank()
     if mode == INCIDENCE:
-        bad |= obs.sample.blank()
+        bad |= obs.column("sample_id").blank()
     if not bad.any():
         return
     i = int(bad.argmax())
     row = obs.rows[i]
     if obs.counts[i] < 0:
         raise SchemaError(f"row {row}: negative count {int(obs.counts[i])}")
-    if not obs.species.labels[obs.species.codes[i]]:
+    if species.codes[i] == species.empty:
         raise SchemaError(f"row {row}: empty species_id")
     raise SchemaError(f"row {row}: missing sample_id in incidence mode")
 
@@ -248,10 +244,11 @@ def tally_abundance(
     if total > _INT64_MAX:
         raise SchemaError(f"total count {total} exceeds the int64 range")
     present = obs.counts > 0
-    species, index = np.unique(obs.species.codes[present], return_inverse=True)
+    column = obs.column("species_id")
+    species, index = np.unique(column.codes[present], return_inverse=True)
     sums = np.zeros(len(species), dtype=np.int64)
     np.add.at(sums, index, obs.counts[present])
-    return _tally(obs.species.labels, species, sums, total, ABUNDANCE)
+    return _tally(column.labels, species, sums, total, ABUNDANCE)
 
 
 def tally_incidence(
@@ -265,12 +262,13 @@ def tally_incidence(
     obs = _observations(records)
     _check(obs, INCIDENCE)
     present = obs.counts > 0
-    n_species = max(len(obs.species.labels), 1)  # 1 for an empty table
-    pairs = np.unique(obs.sample.codes[present] * n_species
-                      + obs.species.codes[present])
+    column = obs.column("species_id")
+    n_species = max(len(column.labels), 1)  # 1 for an empty table
+    pairs = np.unique(obs.column("sample_id").codes[present] * n_species
+                      + column.codes[present])
     species, incidences = np.unique(pairs % n_species, return_counts=True)
     samples = len(np.unique(pairs // n_species))
-    return _tally(obs.species.labels, species, incidences, samples, INCIDENCE)
+    return _tally(column.labels, species, incidences, samples, INCIDENCE)
 
 
 def tally_records(
@@ -297,16 +295,15 @@ def group_by(
     group_field: str,
     mode: str,
 ) -> GroupedDataset:
-    """Partition records by a grouping attribute and tally each partition.
+    """Partition records by the values of one column (any input column but
+    `count`, sample_id and species_id included) and tally each partition.
 
-    Every record must carry the attribute; a missing value raises SchemaError
+    Every record must carry a value; a missing value raises SchemaError
     naming the row, as does any record the mode cannot tally. Groups whose
     records are all zero-count are dropped.
     """
     obs = _observations(records)
-    column = obs.attrs.get(group_field)
-    if column is None:  # no such column: every record misses the value
-        column = Column([""], np.zeros(len(obs), dtype=np.int64), 0)
+    column = obs.column(group_field)
     missing = column.blank()
     if missing.any():
         raise SchemaError(f"row {obs.rows[missing.argmax()]}: missing group "

@@ -110,6 +110,30 @@ def test_synth_pipe_into_estimate(tmp_path, monkeypatch, capsys):
     assert 0.0 < coverage <= 1.0
 
 
+def test_byte_order_mark_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdio.StringIO(
+        "\ufeffsample_id,species_id,count\nm1,a,2\nm2,b,1\n"
+    ))
+    code = run(["estimate", "--stdin", "--mode", "incidence", "--format", "json"])
+    assert code == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["types"], row["tokens_or_samples"]) == (2, 2)
+
+
+def test_report_grouped_by_sample_id(tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    path.write_text("sample_id,species_id,count,genre\n"
+                    "m1,a,2,Reel\nm2,b,1,Jig\n", encoding="utf-8")
+    code = run(["report", "--input", str(path), "--group-by", "sample_id",
+                "--format", "csv"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    assert sorted(line.split(",")[:3] for line in lines[1:]) == [
+        ["Total", "2", "3"], ["m1", "1", "2"], ["m2", "1", "1"],
+    ]
+
+
 def test_tally_emits_spectrum(sessions_csv, capsys):
     code = run(["tally", "--input", str(sessions_csv), "--mode", "abundance"])
     assert code == 0

@@ -101,6 +101,19 @@ class TestReadRecords:
         with pytest.raises(SchemaError, match="row 3: count .* int64"):
             parse(f"sample_id,species_id,count\nm1,a,1\nm2,b,{2**63}\n")
 
+    @pytest.mark.parametrize("meta", ["", "# tool: x\n# seed: 1\n"],
+                             ids=["bare", "metadata"])
+    def test_byte_order_mark_dropped(self, meta):
+        obs = read_records(stdio.StringIO(
+            "\ufeff" + meta + "sample_id,species_id,count\nm1,a,2\nm2,b,1\n"
+        ))
+        assert [(r.sample_id, r.species_id, r.count, r.attrs) for r in obs] == [
+            ("m1", "a", 2, {}),
+            ("m2", "b", 1, {}),
+        ]
+        first = 2 + meta.count("\n")
+        assert obs.rows.tolist() == [first, first + 1]
+
     def test_whitespace_trimmed(self):
         records = parse("sample_id,species_id,count\n m1 , a ,1\n")
         assert records[0].sample_id == "m1"

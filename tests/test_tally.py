@@ -1,3 +1,5 @@
+import csv
+import io as stdio
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from silentspecies import (
     tally_incidence,
     tally_records,
 )
+from silentspecies.io import read_records
 
 records_strategy = st.lists(
     st.builds(
@@ -133,6 +136,20 @@ class TestGroupBy:
         with pytest.raises(SchemaError, match="row 2: missing sample_id"):
             group_by(records, "genre", "incidence")
 
+    def test_group_by_sample_id(self):
+        records = [rec("m1", "a", 2), rec("m1", "b", 1), rec("m2", "a", 1)]
+        ds = group_by(records, "sample_id", ABUNDANCE)
+        assert {key: (t.counts, t.total) for key, t in ds.groups.items()} == {
+            "m1": ({"a": 2, "b": 1}, 3),
+            "m2": ({"a": 1}, 1),
+        }
+
+    def test_record_field_wins_over_attrs_of_same_name(self):
+        records = [rec("m1", "a", 1, sample_id="x", species_id="y")]
+        ds = group_by(records, "sample_id", ABUNDANCE)
+        assert {key: t.counts for key, t in ds.groups.items()} == {
+            "m1": {"a": 1}}
+
     def test_zero_only_group_dropped(self):
         records = [rec("m1", "a", 1, genre="Reel"), rec("m2", "b", 0, genre="Jig")]
         ds = group_by(records, "genre", "abundance")
@@ -249,14 +266,28 @@ def counter_oracle(records, mode):
     return (dict(counts), total) if counts else None
 
 
+def csv_table(records):
+    """The records written as sample_id,species_id,count,genre CSV text and
+    read back."""
+    buf = stdio.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["sample_id", "species_id", "count", "genre"])
+    writer.writerows((r.sample_id, r.species_id, r.count, r.attrs["genre"])
+                     for r in records)
+    buf.seek(0)
+    return read_records(buf)
+
+
+@pytest.mark.parametrize("build", [list, csv_table], ids=["records", "csv"])
 @given(grouped_records_strategy, st.sampled_from([ABUNDANCE, INCIDENCE]))
-def test_columnar_tally_matches_counter_oracle(records, mode):
+def test_columnar_tally_matches_counter_oracle(build, records, mode):
+    table = build(records)
     expected = counter_oracle(records, mode)
     if expected is None:
         with pytest.raises(EmptyDataset):
-            tally_records(records, mode)
+            tally_records(table, mode)
     else:
-        tally = tally_records(records, mode)
+        tally = tally_records(table, mode)
         assert (tally.counts, tally.total) == expected
     parts = {}
     for r in records:
@@ -266,8 +297,8 @@ def test_columnar_tally_matches_counter_oracle(records, mode):
     expected_groups = {k: v for k, v in expected_groups.items() if v}
     if not expected_groups:
         with pytest.raises(EmptyDataset):
-            group_by(records, "genre", mode)
+            group_by(table, "genre", mode)
         return
-    ds = group_by(records, "genre", mode)
+    ds = group_by(table, "genre", mode)
     assert {key: (t.counts, t.total) for key, t in ds.groups.items()} == (
         expected_groups)
