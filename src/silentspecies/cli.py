@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+import warnings
 from dataclasses import fields
 from typing import Sequence, TextIO
 
@@ -22,7 +23,7 @@ from .errors import SilentSpeciesError
 from .tally import (
     ABUNDANCE,
     INCIDENCE,
-    ObservationRecord,
+    Column,
     Observations,
     group_by,
     spectrum,
@@ -242,16 +243,20 @@ def _cmd_synth(args, meta) -> None:
     )
     population = synth.generate(spec)
     if args.sites is not None:
-        records = synth.sample_site_records(
+        table = synth.sample_site_records(
             population, args.sites, args.per_site, args.detection, args.seed
         )
     else:
         tally = synth.sample(population, args.tokens, args.seed)
-        records = [
-            ObservationRecord("_default", species, count)
-            for species, count in sorted(tally.counts.items())
-        ]
-    _write(args, lambda f: io.write_records_csv(records, f, meta))
+        species = sorted(tally.counts)
+        n = len(species)
+        table = Observations.of(
+            {"sample_id": Column.of({"_default": 0}, [0] * n),
+             "species_id": Column.of(dict(zip(species, range(n))), range(n))},
+            [tally.counts[s] for s in species],
+            range(1, n + 1),
+        )
+    _write(args, lambda f: io.write_records_csv(table, f, meta))
 
 
 _HANDLERS = {
@@ -263,6 +268,12 @@ _HANDLERS = {
     "correlate": _cmd_correlate,
     "synth": _cmd_synth,
 }
+
+
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """A library warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -278,11 +289,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         command=_command_string(argv),
         seed=getattr(args, "seed", DEFAULT_SEED),
     )
-    try:
-        _HANDLERS[args.command](args, meta)
-    except (SilentSpeciesError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            _HANDLERS[args.command](args, meta)
+        except (SilentSpeciesError, OSError, ValueError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

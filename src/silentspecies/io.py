@@ -19,6 +19,8 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence, TextIO
 
+import numpy as np
+
 from .analysis import GroupReportRow
 from .errors import SchemaError
 from .resampling import AccumulationPoint, BootstrapResult
@@ -29,6 +31,7 @@ from .tally import (
     FrequencySpectrum,
     ObservationRecord,
     Observations,
+    _observations,
 )
 from .version import __version__
 
@@ -71,6 +74,7 @@ def read_records(f: TextIO) -> Observations:
     names = [h for h in header if h != "count"]
     columns = [(header.index(h), {}, []) for h in names]
     counts: list[int] = []
+    parsed: dict[str, int] = {}  # count text -> count; counts repeat a lot
     rows: list[int] = []
     line = skipped + reader.line_num  # the last file line the reader consumed
     try:
@@ -86,14 +90,9 @@ def read_records(f: TextIO) -> Observations:
             if count_col is not None:
                 text = row[count_col].strip()
                 if text:
-                    try:
-                        count = int(text)
-                    except ValueError:
-                        raise SchemaError(
-                            f"row {start}: non-integer count {text!r}"
-                        ) from None
-                    if count < 0:
-                        raise SchemaError(f"row {start}: negative count {count}")
+                    count = parsed.get(text)
+                    if count is None:
+                        count = parsed[text] = _parse_count(start, text)
             if not row[species_col].strip():
                 if any(map(str.strip, row)):
                     raise SchemaError(f"row {start}: empty species_id")
@@ -110,6 +109,21 @@ def read_records(f: TextIO) -> Observations:
         counts,
         rows,
     )
+
+
+def _parse_count(row: int, text: str) -> int:
+    """A count is ASCII digits; int() alone also takes "+3", "1_000" and
+    non-ASCII digits."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = None
+    if count is not None and text.isascii() and text.isdigit():
+        return count
+    digits = text[1:]
+    if count is not None and count < 0 and digits.isascii() and digits.isdigit():
+        raise SchemaError(f"row {row}: negative count {count}")
+    raise SchemaError(f"row {row}: non-integer count {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +179,25 @@ def _fmt(value: float, places: int = 3) -> str:
 
 
 def write_records_csv(
-    records: Iterable[ObservationRecord], f: TextIO, meta: Mapping[str, str]
+    records: Observations | Iterable[ObservationRecord],
+    f: TextIO,
+    meta: Mapping[str, str],
 ) -> None:
-    _write_table(f, meta, LONG_COLUMNS,
-                 ((rec.sample_id, rec.species_id, rec.count) for rec in records))
+    """The sample_id, species_id and count columns of a table, as long
+    format. A record list is converted to a table once."""
+    obs = _observations(records)
+    sample, species = obs.column("sample_id"), obs.column("species_id")
+    # Labels are gathered a chunk at a time from object arrays, in C.
+    sample_labels = np.array(sample.labels, dtype=object)
+    species_labels = np.array(species.labels, dtype=object)
+    parts = (slice(start, start + _CHUNK_ROWS)
+             for start in range(0, len(obs), _CHUNK_ROWS))
+    _write_table(f, meta, LONG_COLUMNS, chain.from_iterable(
+        zip(sample_labels[sample.codes[part]].tolist(),
+            species_labels[species.codes[part]].tolist(),
+            obs.counts[part].tolist())
+        for part in parts
+    ))
 
 
 def write_spectrum_csv(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .tally import ABUNDANCE, ObservationRecord, Tally
+from .tally import ABUNDANCE, Column, Observations, Tally
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -74,19 +74,20 @@ def sample_site_records(
     per_site_n: int,
     detection: float = 1.0,
     seed: int = 0,
-) -> list[ObservationRecord]:
+) -> Observations:
     """Draw m independent sites of per_site_n tokens each and return the
-    per-site observation records. `detection` < 1 independently thins each
-    observed token before it is recorded."""
+    per-site observations as a table: one row per species seen at a site,
+    site by site, with rows numbered from 1. `detection` < 1 independently
+    thins each observed token before it is recorded."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if per_site_n < 1:
         raise InvalidSpec(f"per_site_n must be >= 1, got {per_site_n}")
     if not 0.0 < detection <= 1.0:
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
-    labels = _species_labels(population.size)
     site_width = max(4, len(str(m)))
-    records: list[ObservationRecord] = []
+    species: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
     for site in range(m):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(site,))
@@ -94,10 +95,16 @@ def sample_site_records(
         draws = rng.multinomial(per_site_n, population)
         if detection < 1.0:
             draws = rng.binomial(draws, detection)
-        sample_id = f"site{site + 1:0{site_width}d}"
-        for i in np.nonzero(draws)[0]:
-            records.append(
-                ObservationRecord(sample_id, labels[i], int(draws[i]))
-            )
-    return records
-
+        seen = np.flatnonzero(draws)
+        species.append(seen)
+        counts.append(draws[seen])
+    sites = np.repeat(np.arange(m), [len(seen) for seen in species])
+    columns = {
+        "sample_id": Column(
+            [f"site{site:0{site_width}d}" for site in range(1, m + 1)],
+            sites, -1),
+        "species_id": Column(_species_labels(population.size),
+                             np.concatenate(species), -1),
+    }
+    return Observations.of(columns, np.concatenate(counts),
+                           np.arange(1, len(sites) + 1))

@@ -298,11 +298,14 @@ def group_by(
     """Partition records by the values of one column (any input column but
     `count`, sample_id and species_id included) and tally each partition.
 
-    Every record must carry a value; a missing value raises SchemaError
-    naming the row, as does any record the mode cannot tally. Groups whose
-    records are all zero-count are dropped.
+    A column the table lacks raises SchemaError. Every record must carry a
+    value; a missing value raises SchemaError naming the row, as does any
+    record the mode cannot tally. Groups whose records are all zero-count
+    are dropped.
     """
     obs = _observations(records)
+    if group_field not in obs.columns and len(obs):  # no records, no groups
+        raise SchemaError(f"the input has no group column {group_field!r}")
     column = obs.column(group_field)
     missing = column.blank()
     if missing.any():

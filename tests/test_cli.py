@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from silentspecies import ObservationRecord
 from silentspecies.cli import run
 
 
@@ -108,6 +109,30 @@ def test_synth_pipe_into_estimate(tmp_path, monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     coverage = payload["rows"][0]["coverage"]
     assert 0.0 < coverage <= 1.0
+
+
+@pytest.mark.parametrize("draw", [["--sites", "20"], ["--tokens", "500"]])
+def test_synth_builds_no_record_objects(draw, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("ObservationRecord built")
+
+    monkeypatch.setattr(ObservationRecord, "__init__", refuse)
+    code = run(["synth", "--distribution", "zipf", "--species", "50", *draw,
+                "--seed", "7"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "sample_id,species_id,count"
+    assert len(lines) > 1
+
+
+def test_library_warning_is_one_stderr_line(sessions_csv, capsys):
+    code = run(["bootstrap", "--input", str(sessions_csv),
+                "--replicates", "10"])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: bootstrap with 10 replicates")
 
 
 def test_byte_order_mark_on_stdin(monkeypatch, capsys):
@@ -281,6 +306,16 @@ MALFORMED_FILES = {
                        "row 3: field larger than field limit"),
     "count-beyond-int64": (HEADER + f"m1,a,{2**63}\n", [],
                            "row 2: count 9223372036854775808 outside"),
+    "count-with-underscore": (HEADER + "m1,a,1\nm1,b,1_000\n", [],
+                              "row 3: non-integer count '1_000'"),
+    "count-with-plus-sign": (HEADER + "m1,a,+3\n", [],
+                             "row 2: non-integer count '+3'"),
+    "count-in-non-ascii-digits": (HEADER + "m1,a,1\nm1,b,\u0663\n", [],
+                                  "row 3: non-integer count '\u0663'"),
+    "group-column-absent": (GROUPED + "m1,a,1,J\n", ["--group-by", "nope"],
+                            "the input has no group column 'nope'"),
+    "group-by-count": (GROUPED + "m1,a,1,J\n", ["--group-by", "count"],
+                       "the input has no group column 'count'"),
 }
 
 

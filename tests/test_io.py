@@ -4,8 +4,16 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from silentspecies import ObservationRecord, SchemaError, tally_abundance
+from silentspecies import (
+    ObservationRecord,
+    Observations,
+    SchemaError,
+    tally_abundance,
+)
 from silentspecies.io import (
+    _CHUNK_ROWS,
+    LONG_COLUMNS,
+    _write_table,
     metadata,
     read_records,
     write_records_csv,
@@ -165,21 +173,43 @@ ids = (
     .map(str.strip)
     .filter(bool)
 )
-
-
-@given(
-    st.lists(
-        st.builds(
-            ObservationRecord,
-            sample_id=ids,
-            species_id=ids,
-            count=st.integers(min_value=0, max_value=10**6),
-        ),
-        max_size=10,
-    )
+record_lists = st.lists(
+    st.builds(
+        ObservationRecord,
+        sample_id=ids,
+        species_id=ids,
+        count=st.integers(min_value=0, max_value=10**6),
+    ),
+    max_size=10,
 )
+
+
+@given(record_lists)
 def test_records_csv_round_trip(records):
     buf = stdio.StringIO(newline="")
     write_records_csv(records, buf, metadata("cmd", seed=1))
     buf.seek(0)
     assert list(read_records(buf)) == records
+
+
+@given(record_lists)
+def test_table_writer_matches_per_record_rows(records):
+    assert_writes_like_per_record_rows(records)
+
+
+def test_table_writer_across_chunks():
+    records = [ObservationRecord(f"s{i % 7}", f"sp{i % 13}", i)
+               for i in range(2 * _CHUNK_ROWS + 5)]
+    assert_writes_like_per_record_rows(records)
+
+
+def assert_writes_like_per_record_rows(records):
+    """The list and its table both write what one row per record does."""
+    meta = metadata("cmd", seed=1)
+    expected = stdio.StringIO(newline="")
+    _write_table(expected, meta, LONG_COLUMNS,
+                 ((r.sample_id, r.species_id, r.count) for r in records))
+    for written in (records, Observations.from_records(records)):
+        buf = stdio.StringIO(newline="")
+        write_records_csv(written, buf, meta)
+        assert buf.getvalue() == expected.getvalue()

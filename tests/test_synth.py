@@ -3,6 +3,7 @@ import pytest
 
 from silentspecies import (
     InvalidSpec,
+    ObservationRecord,
     chao1,
     spectrum,
     tally_incidence,
@@ -100,6 +101,23 @@ class TestSampleSites:
         probs = generate(PopulationSpec(25, "uniform"))
         records = sample_site_records(probs, 8, 30, seed=3)
         assert tally_incidence(records) == tally_incidence(sample_site_records(probs, 8, 30, seed=3))
+
+    @pytest.mark.parametrize("detection", [1.0, 0.5])
+    def test_table_matches_per_site_record_loop(self, detection):
+        probs = generate(PopulationSpec(60, "zipf", alpha=1.1))
+        expected = []
+        for site in range(12):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=8, spawn_key=(site,)))
+            draws = rng.multinomial(40, probs)
+            if detection < 1.0:
+                draws = rng.binomial(draws, detection)
+            for i in np.flatnonzero(draws):
+                expected.append(ObservationRecord(
+                    f"site{site + 1:04d}", f"sp{i + 1:04d}", int(draws[i])))
+        table = sample_site_records(probs, 12, 40, detection, seed=8)
+        assert list(table) == expected
+        assert table.rows.tolist() == list(range(1, len(expected) + 1))
 
     def test_invalid_detection(self):
         probs = generate(PopulationSpec(5, "uniform"))
