@@ -16,10 +16,12 @@ import shlex
 import sys
 import warnings
 from dataclasses import fields
+from io import TextIOWrapper
 from typing import Sequence, TextIO
 
 from . import analysis, io, resampling, synth
 from .errors import SilentSpeciesError
+from .stats import pearson, polyfit
 from .tally import (
     ABUNDANCE,
     INCIDENCE,
@@ -137,11 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Both sources decode alike: UTF-8 without newline translation, keeping an
+# undecodable byte for read_records to name its row.
+_DECODING = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+
+
 def _read_records(args: argparse.Namespace) -> Observations:
-    if args.stdin:
+    if not args.stdin:
+        with open(args.input, **_DECODING) as f:
+            return io.read_records(f)
+    if not hasattr(sys.stdin, "buffer"):  # a text stream with no bytes under it
         return io.read_records(sys.stdin)
-    with open(args.input, encoding="utf-8", newline="") as f:
+    f = TextIOWrapper(sys.stdin.buffer, **_DECODING)
+    try:
         return io.read_records(f)
+    finally:
+        f.detach()  # sys.stdin keeps its buffer open
 
 
 def _write(args: argparse.Namespace, emit) -> None:
@@ -211,17 +224,13 @@ def _cmd_bootstrap(args, meta) -> None:
 
 def _cmd_correlate(args, meta) -> None:
     dataset = group_by(_read_records(args), args.group_by, args.mode)
-    result = analysis.per_group_correlation(
-        dataset, args.x, args.y, args.correction
-    )
+    xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
+    result = pearson(xs, ys)
     _write(
         args,
         lambda f: io.write_correlation_csv(result, args.x, args.y, f, meta),
     )
     if args.trend_out:
-        from .stats import polyfit
-
-        xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
         fit = polyfit(
             xs,
             ys,

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientSamples
-from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally, spectrum
+import numpy as np
+
+from .errors import EmptyDataset, InsufficientSamples
+from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally
 
 _NAMES = {ABUNDANCE: "chao1", INCIDENCE: "chao2"}
 
@@ -82,13 +84,24 @@ def estimate(
     )
 
 
+def _s_obs_f1_f2(counts: np.ndarray) -> tuple[int, int, int]:
+    """S_obs, f1 and f2 of a per-species count vector; a zero count is a
+    species not seen."""
+    seen = counts[counts > 0]
+    return (int(seen.size), int(np.count_nonzero(seen == 1)),
+            int(np.count_nonzero(seen == 2)))
+
+
 def estimate_tally(
     tally: Tally, small_sample_correction: bool = False
 ) -> RichnessEstimate:
     """Chao1 or Chao2 estimate of a tally, as its mode says; the (m-1)/m
-    factor applies only in incidence mode."""
-    spec = spectrum(tally)
-    return estimate(spec.s_obs, spec.f1, spec.f2, spec.mode, spec.n_or_m,
+    factor applies only in incidence mode. A tally without a positive count
+    raises EmptyDataset."""
+    s_obs, f1, f2 = _s_obs_f1_f2(np.fromiter(tally.counts.values(), np.int64))
+    if not s_obs:
+        raise EmptyDataset("empty tally")
+    return estimate(s_obs, f1, f2, tally.mode, tally.total,
                     small_sample_correction)
 
 

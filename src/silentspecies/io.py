@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import asdict
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -37,6 +38,9 @@ from .version import __version__
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
 _CHUNK_ROWS = 1024
+# The characters that errors="surrogateescape" puts for undecodable bytes.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+_LINE_BREAK = re.compile("\r\n|\r|\n")
 
 
 def read_records(f: TextIO) -> Observations:
@@ -46,7 +50,8 @@ def read_records(f: TextIO) -> Observations:
     A leading byte-order mark is dropped. The `#` metadata lines before the
     header are skipped, so our own outputs round-trip; every line after the
     header is data. Blank rows are skipped. A record's row is the file line
-    on which it starts, and every SchemaError names it.
+    on which it starts, and every SchemaError names it. A byte that UTF-8
+    could not decode (kept by errors="surrogateescape") is a SchemaError.
     """
     lines = iter(f)
     first = next(lines, "").removeprefix("\ufeff")  # as spreadsheets write it
@@ -61,6 +66,7 @@ def read_records(f: TextIO) -> Observations:
         header = [h.strip() for h in next(reader)]
     except csv.Error as exc:
         raise SchemaError(f"row {skipped + 1}: {exc}") from None
+    _check_decoded(skipped + 1, "the header", "".join(header))
     dupes = {h for h in header if header.count(h) > 1}
     if dupes:
         raise SchemaError(
@@ -103,6 +109,17 @@ def read_records(f: TextIO) -> Observations:
             rows.append(start)
     except csv.Error as exc:
         raise SchemaError(f"row {line + 1}: {exc}") from None
+    # Each label is checked once, not each field: (row, column, label) of
+    # the first undecodable label of each column.
+    undecodable = []
+    for name, (_, ids, codes) in zip(names, columns):
+        if _UNDECODED.search("".join(ids)):
+            code, label = next((code, label) for code, label in enumerate(ids)
+                               if _UNDECODED.search(label))
+            undecodable.append((rows[codes.index(code)], name, label))
+    if undecodable:
+        row, name, label = min(undecodable)
+        _check_decoded(row, repr(name), label)
     return Observations.of(
         {h: Column.of(ids, codes)
          for h, (_, ids, codes) in zip(names, columns)},
@@ -123,25 +140,27 @@ def _parse_count(row: int, text: str) -> int:
     digits = text[1:]
     if count is not None and count < 0 and digits.isascii() and digits.isdigit():
         raise SchemaError(f"row {row}: negative count {count}")
+    _check_decoded(row, "'count'", text)
     raise SchemaError(f"row {row}: non-integer count {text!r}")
+
+
+def _check_decoded(row: int, where: str, text: str) -> None:
+    """Raise SchemaError naming the row if `text` holds a byte that UTF-8
+    could not decode (read with errors="surrogateescape")."""
+    match = _UNDECODED.search(text)
+    if match:
+        byte = ord(match[0]) - 0xDC00
+        raise SchemaError(f"row {row}: undecodable byte 0x{byte:02x} in {where}")
 
 
 # ---------------------------------------------------------------------------
 # Writers
 
 
-def metadata(
-    command: str,
-    seed: int | None = None,
-    estimator: str | None = None,
-    **extra: str,
-) -> dict[str, str]:
+def metadata(command: str, seed: int | None = None) -> dict[str, str]:
     meta = {"tool": f"silentspecies {__version__}", "command": command}
     if seed is not None:
         meta["seed"] = str(seed)
-    if estimator is not None:
-        meta["estimator"] = estimator
-    meta.update(extra)
     return meta
 
 
@@ -241,7 +260,13 @@ def write_report_csv(
     ))
 
 
-def write_report_markdown(    rows: Sequence[GroupReportRow],
+def _markdown_cell(text: str) -> str:
+    """Table cell text: `|` escaped and each line break written as <br>."""
+    return _LINE_BREAK.sub("<br>", text.replace("|", "\\|"))
+
+
+def write_report_markdown(
+    rows: Sequence[GroupReportRow],
     f: TextIO,
     meta: Mapping[str, str],
     group_label: str = "Group",
@@ -256,24 +281,13 @@ def write_report_markdown(    rows: Sequence[GroupReportRow],
     else:
         unit, ratio = "Samples", "STR"
     headers = [group_label, "Types", unit, ratio, "f1", "f2", "Coverage"]
-    f.write("| " + " | ".join(headers) + " |\n")
+    f.write("| " + " | ".join(map(_markdown_cell, headers)) + " |\n")
     f.write("|" + "|".join("---" for _ in headers) + "|\n")
     for row in rows:
-        f.write(
-            "| "
-            + " | ".join(
-                [
-                    row.group_key,
-                    str(row.types),
-                    str(row.tokens_or_samples),
-                    _fmt(row.ttr_or_str),
-                    str(row.f1),
-                    str(row.f2),
-                    _fmt(row.coverage),
-                ]
-            )
-            + " |\n"
-        )
+        cells = [row.group_key, str(row.types), str(row.tokens_or_samples),
+                 _fmt(row.ttr_or_str), str(row.f1), str(row.f2),
+                 _fmt(row.coverage)]
+        f.write("| " + " | ".join(map(_markdown_cell, cells)) + " |\n")
 
 
 def write_report_json(

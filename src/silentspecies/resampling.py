@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidSize, SubsampleTooLarge
-from .estimators import RichnessEstimate, estimate, estimate_tally
+from .estimators import _s_obs_f1_f2, estimate, estimate_tally
 from .tally import ABUNDANCE, INCIDENCE, Tally
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
@@ -65,34 +65,35 @@ def resolve_workers(threads: int | None = None) -> int:
     return min(threads, cpus) if threads else cpus
 
 
-def _map_replicates(
-    fn: Callable[[int], np.ndarray], replicates: int, workers: int
-) -> list[np.ndarray]:
-    """Apply fn to each replicate index, preserving index order."""
+def _counts(tally: Tally) -> np.ndarray:
+    """The tally's counts as an int64 vector in species-label order."""
+    return np.array([tally.counts[s] for s in sorted(tally.counts)], np.int64)
+
+
+def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
+                key: tuple[int, ...], seed: int, replicates: int,
+                workers: int, mode: str = ABUNDANCE, m: int = 0,
+                correction: bool = False) -> np.ndarray:
+    """replicates x (s_obs, s_hat, coverage) of the drawn count vectors, in
+    replicate order. Replicate i draws on SeedSequence(seed, spawn_key=
+    (*key, i)), so no result depends on `workers`. A draw that sees no
+    species (only tiny incidence resamples can) has s_hat 0, coverage 1."""
+
+    def one(i: int) -> tuple[float, float, float]:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(*key, i)))
+        s_obs, f1, f2 = _s_obs_f1_f2(draw(rng))
+        if not s_obs:
+            return 0.0, 0.0, 1.0
+        est = estimate(s_obs, f1, f2, mode, m, correction)
+        return s_obs, est.s_hat, est.coverage
+
     if workers <= 1 or replicates == 1:
-        return [fn(i) for i in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
-def _estimate_from_counts(values: np.ndarray, mode: str = ABUNDANCE,
-                          m: int = 0,
-                          small_sample_correction: bool = False) -> RichnessEstimate:
-    """Chao estimate straight from a vector of per-species counts."""
-    nonzero = values[values > 0]
-    s_obs = int(nonzero.size)
-    if s_obs == 0:
-        # Possible only for tiny incidence resamples; treat as fully covered.
-        return RichnessEstimate(0, 0, 0, 0.0, 0.0, 1.0, "chao2")
-    f1 = int(np.count_nonzero(nonzero == 1))
-    f2 = int(np.count_nonzero(nonzero == 2))
-    return estimate(s_obs, f1, f2, mode, m, small_sample_correction)
-
-
-def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    )
+        rows = [one(i) for i in range(replicates)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(replicates)))
+    return np.array(rows, dtype=np.float64)
 
 
 def accumulate(
@@ -108,8 +109,7 @@ def accumulate(
     """
     if replicates < 1:
         raise InvalidSize(f"replicates must be >= 1, got {replicates}")
-    species = sorted(tally.counts)
-    counts = np.array([tally.counts[s] for s in species], dtype=np.int64)
+    counts = _counts(tally)
     n = int(counts.sum())
     for k in sizes:
         if k <= 0:
@@ -119,26 +119,14 @@ def accumulate(
     workers = resolve_workers(threads)
     points: list[AccumulationPoint] = []
     for size_idx, k in enumerate(sizes):
-
-        def one(rep: int, _size_idx: int = size_idx, _k: int = k) -> np.ndarray:
-            rng = _rng(seed, _size_idx, rep)
-            draw = rng.multivariate_hypergeometric(counts, _k)
-            est = _estimate_from_counts(draw)
-            return np.array([est.s_obs, est.s_hat])
-
-        results = _map_replicates(one, replicates, workers)
-        stacked = np.vstack(results)
+        stacked = _replicates(
+            lambda rng, k=k: rng.multivariate_hypergeometric(counts, k),
+            (size_idx,), seed, replicates, workers)
         s_obs_vals, s_hat_vals = stacked[:, 0], stacked[:, 1]
         sd = float(np.std(s_hat_vals, ddof=1)) if replicates > 1 else 0.0
-        points.append(
-            AccumulationPoint(
-                k=k,
-                replicates=replicates,
-                mean_s_obs=float(s_obs_vals.mean()),
-                mean_s_hat=float(s_hat_vals.mean()),
-                sd_s_hat=sd,
-            )
-        )
+        points.append(AccumulationPoint(
+            k=k, replicates=replicates, mean_s_obs=float(s_obs_vals.mean()),
+            mean_s_hat=float(s_hat_vals.mean()), sd_s_hat=sd))
     return points
 
 
@@ -208,9 +196,7 @@ def bootstrap_ci(
             stacklevel=2,
         )
 
-    values = np.array(
-        [tally.counts[s] for s in sorted(tally.counts)], dtype=np.int64
-    )
+    values = _counts(tally)
     total = tally.total
     point = estimate_tally(tally, small_sample_correction)
     probs = _augmented_probs(values, total, point.f0_hat, point.f1, point.f2)
@@ -220,32 +206,23 @@ def bootstrap_ci(
         # expected total incidences match the augmented assemblage
         presence = np.clip(probs * values.sum() / total, 0.0, 1.0)
 
-    def one(rep: int) -> np.ndarray:
-        rng = _rng(seed, rep)
+    def draw(rng: np.random.Generator) -> np.ndarray:
         if incidence:
-            draw = rng.binomial(total, presence)
-        else:
-            draw = rng.multinomial(total, probs)
-        est = _estimate_from_counts(draw, tally.mode, total,
-                                    small_sample_correction)
-        return np.array([est.s_hat, est.coverage])
+            return rng.binomial(total, presence)
+        return rng.multinomial(total, probs)
 
-    workers = resolve_workers(threads)
-    stacked = np.vstack(_map_replicates(one, replicates, workers))
+    stacked = _replicates(draw, (), seed, replicates,
+                          resolve_workers(threads), tally.mode, total,
+                          small_sample_correction)
     alpha = (1.0 - level) / 2.0
 
     def interval(col: int, point_value: float) -> BootstrapResult:
         lower, upper = np.quantile(stacked[:, col], [alpha, 1.0 - alpha])
-        return BootstrapResult(
-            point=point_value,
-            lower=float(lower),
-            upper=float(upper),
-            level=level,
-            replicates=replicates,
-            seed=seed,
-        )
+        return BootstrapResult(point=point_value, lower=float(lower),
+                               upper=float(upper), level=level,
+                               replicates=replicates, seed=seed)
 
     return {
-        "s_hat": interval(0, point.s_hat),
-        "coverage": interval(1, point.coverage),
+        "s_hat": interval(1, point.s_hat),
+        "coverage": interval(2, point.coverage),
     }

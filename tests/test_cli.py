@@ -1,5 +1,6 @@
 import io as stdio
 import json
+import re
 
 import pytest
 
@@ -316,17 +317,72 @@ MALFORMED_FILES = {
                             "the input has no group column 'nope'"),
     "group-by-count": (GROUPED + "m1,a,1,J\n", ["--group-by", "count"],
                        "the input has no group column 'count'"),
+    # The first bad byte by row, not by column: sample_id comes first.
+    "undecodable-byte-input": (
+        HEADER.encode() + b"m1,a,1\nm2,a\xff,1\nm\xfe3,b,1\n", [],
+        "row 3: undecodable byte 0xff in 'species_id'"),
+    "undecodable-byte-stdin": (
+        HEADER.encode() + b"m1,a,1\nm2,a\xff,1\nm\xfe3,b,1\n", ["--stdin"],
+        "row 3: undecodable byte 0xff in 'species_id'"),
+    "undecodable-count": (HEADER.encode() + b"m1,a,1\nm2,b,1\xc3\n", [],
+                          "row 3: undecodable byte 0xc3 in 'count'"),
+    "undecodable-header": (b"sample_id,species_id,c\xe9\nm1,a,1\n",
+                           ["--stdin"],
+                           "row 1: undecodable byte 0xe9 in the header"),
 }
 
 
+def utf8_mode_stdin(data: bytes):
+    """Standard input as Python opens it on POSIX in UTF-8 mode."""
+    return stdio.TextIOWrapper(stdio.BytesIO(data), encoding="utf-8",
+                               errors="surrogateescape", newline="\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
-def test_malformed_file_gives_one_error_line(case, tmp_path, capsys):
+def test_malformed_file_gives_one_error_line(case, tmp_path, monkeypatch,
+                                             capsys):
     text, flags, named = MALFORMED_FILES[case]
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
     path = tmp_path / "input.csv"
-    path.write_text(text, encoding="utf-8")
-    assert run(["estimate", "--input", str(path), *flags]) == 1
+    path.write_bytes(data)
+    if "--stdin" in flags:
+        monkeypatch.setattr("sys.stdin", utf8_mode_stdin(data))
+    else:
+        flags = ["--input", str(path), *flags]
+    assert run(["estimate", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert named in captured.err
     assert captured.out == ""
+
+
+def test_stdin_reads_like_input(tmp_path, monkeypatch, capsys):
+    # Old Mac line ends, and a line break inside a quoted id.
+    data = b'sample_id,species_id,count\rm1,"a\r\nb",2\rm2,c,1\r'
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    flags = ["estimate", "--group-by", "species_id", "--format", "json"]
+    assert run([*flags, "--input", str(path)]) == 0
+    from_file = json.loads(capsys.readouterr().out)["rows"]
+    monkeypatch.setattr("sys.stdin", utf8_mode_stdin(data))
+    assert run([*flags, "--stdin"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == from_file
+    assert sorted(row["group_key"] for row in from_file) == [
+        "Total", "a\r\nb", "c"]
+
+
+def test_markdown_report_escapes_cells(tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    path.write_text('sample_id,species_id,count,genre\n'
+                    'm1,a,2,x|y\nm2,b,1,"two\nlines"\n', encoding="utf-8")
+    assert run(["report", "--input", str(path), "--group-by", "genre"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("|")]
+    assert len(rows) == 5  # header, rule, two groups and Total
+    assert sorted(rows[2:4]) == [
+        "| two<br>lines | 1 | 1 | 1.000 | 1 | 0 | 1.000 |",
+        "| x\\|y | 1 | 2 | 0.500 | 0 | 1 | 1.000 |",
+    ]
+    for row in rows:
+        assert len(re.split(r"(?<!\\)\|", row)) == 9  # 7 cells and 2 ends

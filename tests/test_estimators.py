@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from silentspecies import (
     ABUNDANCE,
     INCIDENCE,
+    EmptyDataset,
     FrequencySpectrum,
     Tally,
     InsufficientSamples,
@@ -14,6 +15,8 @@ from silentspecies import (
     chao2,
     coverage_of,
     diversity_proxies,
+    estimate_tally,
+    spectrum,
 )
 
 
@@ -157,12 +160,36 @@ def test_chao2_uncorrected_is_chao1_arithmetic(freqs, m):
     assert (a.s_hat, a.f0_hat, a.coverage) == (b.s_hat, b.f0_hat, b.coverage)
 
 
+@given(st.lists(st.integers(min_value=1, max_value=50), min_size=1,
+                max_size=40),
+       st.sampled_from([ABUNDANCE, INCIDENCE]), st.booleans(),
+       st.integers(min_value=0, max_value=20))
+def test_estimate_tally_matches_spectrum_estimators(counts, mode, correction,
+                                                    extra_samples):
+    if mode == ABUNDANCE:
+        total = sum(counts)
+    else:
+        total = max(2, *counts) + extra_samples
+    tally = Tally({f"s{i}": c for i, c in enumerate(counts)}, total, mode)
+    spec = spectrum(tally)
+    if mode == ABUNDANCE:
+        expected = chao1(spec)
+    else:
+        expected = chao2(spec, correction)
+    assert estimate_tally(tally, correction) == expected
+
+
+def test_estimate_tally_skips_zero_counts():
+    est = estimate_tally(Tally({"a": 0, "b": 1, "c": 2}, 3, ABUNDANCE))
+    assert (est.s_obs, est.f1, est.f2) == (2, 1, 1)
+    with pytest.raises(EmptyDataset):
+        estimate_tally(Tally({"a": 0}, 0, INCIDENCE))
+
+
 def test_all_singletons_triggers_fallback():
     # TTR = 1 means every species is a singleton, so f2 = 0
     tally = Tally({"a": 1, "b": 1, "c": 1}, 3, ABUNDANCE)
     assert diversity_proxies(tally) == 1.0
-    from silentspecies import spectrum
-
     est = chao1(spectrum(tally))
     assert est.used_fallback
 

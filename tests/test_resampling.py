@@ -94,6 +94,13 @@ class TestBootstrap:
         res = bootstrap_ci(tally, replicates=200, level=0.95, seed=3)
         assert res["coverage"].lower == res["coverage"].upper == 1.0
 
+    def test_replicates_that_see_no_species_count_as_covered(self):
+        # One species in 1 of 50 samples: about a third of the incidence
+        # replicates see nothing, and each gives s_hat 0 and coverage 1.
+        res = bootstrap_ci(Tally({"a": 1}, 50, INCIDENCE), 200, 0.95, 3)
+        assert res["s_hat"].lower == 0.0
+        assert res["coverage"].lower == res["coverage"].upper == 1.0
+
     def test_single_replicate_collapses(self, zipf_tally):
         with pytest.warns(UserWarning):
             res = bootstrap_ci(zipf_tally, replicates=1, level=0.9, seed=5)
