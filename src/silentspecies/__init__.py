@@ -24,9 +24,6 @@ from .errors import (
 )
 from .estimators import (
     RichnessEstimate,
-    chao1,
-    chao1_counts,
-    chao2,
     coverage_of,
     diversity_proxies,
     estimate,
@@ -48,7 +45,6 @@ from .synth import (
 from .tally import (
     ABUNDANCE,
     INCIDENCE,
-    FrequencySpectrum,
     GroupedDataset,
     ObservationRecord,
     Observations,
@@ -69,7 +65,6 @@ __all__ = [
     "BootstrapResult",
     "DegenerateVariance",
     "EmptyDataset",
-    "FrequencySpectrum",
     "GroupReportRow",
     "GroupedDataset",
     "InsufficientPoints",
@@ -88,9 +83,6 @@ __all__ = [
     "TrendFit",
     "accumulate",
     "bootstrap_ci",
-    "chao1",
-    "chao1_counts",
-    "chao2",
     "coverage_of",
     "diversity_proxies",
     "estimate",

@@ -45,10 +45,20 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                      help="read input CSV from standard input")
 
 
+def _seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
     _add_input(parser)
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed for all randomness (default: %(default)s)")
     if mode:
         parser.add_argument("--mode", choices=[ABUNDANCE, INCIDENCE],
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-site", type=int, default=100,
                    help="tokens per site in incidence mode")
     p.add_argument("--detection", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", help="output path (default: stdout)")
 
     return parser

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataset, InsufficientSamples
-from .tally import ABUNDANCE, INCIDENCE, FrequencySpectrum, Tally
+from .tally import ABUNDANCE, INCIDENCE, Tally
 
 _NAMES = {ABUNDANCE: "chao1", INCIDENCE: "chao2"}
 
@@ -102,34 +102,6 @@ def estimate_tally(
     if not s_obs:
         raise EmptyDataset("empty tally")
     return estimate(s_obs, f1, f2, tally.mode, tally.total,
-                    small_sample_correction)
-
-
-def chao1_counts(s_obs: int, f1: int, f2: int) -> RichnessEstimate:
-    """Chao1 straight from (S_obs, f1, f2), e.g. published table rows."""
-    return estimate(s_obs, f1, f2, ABUNDANCE)
-
-
-def chao1(spec: FrequencySpectrum) -> RichnessEstimate:
-    """Abundance-based Chao estimate from a frequency spectrum."""
-    if spec.mode != ABUNDANCE:
-        raise ValueError("chao1 expects an abundance spectrum; use chao2")
-    return estimate(spec.s_obs, spec.f1, spec.f2, ABUNDANCE)
-
-
-def chao2(
-    spec: FrequencySpectrum, small_sample_correction: bool = False
-) -> RichnessEstimate:
-    """Incidence-based Chao estimate; same arithmetic applied to the
-    incidence spectrum Q_r.
-
-    With `small_sample_correction` the unseen-species estimate is scaled by
-    (m-1)/m, the standard small-sample factor. It is off by default so the
-    uncorrected arithmetic is reproduced verbatim.
-    """
-    if spec.mode != INCIDENCE:
-        raise ValueError("chao2 expects an incidence spectrum; use chao1")
-    return estimate(spec.s_obs, spec.f1, spec.f2, INCIDENCE, spec.n_or_m,
                     small_sample_correction)
 
 

@@ -29,7 +29,6 @@ from .stats import RegressionResult, TrendFit
 from .tally import (
     ABUNDANCE,
     Column,
-    FrequencySpectrum,
     ObservationRecord,
     Observations,
     _observations,
@@ -164,6 +163,11 @@ def metadata(command: str, seed: int | None = None) -> dict[str, str]:
     return meta
 
 
+def _one_line(value: str) -> str:
+    """A metadata value on one line: CR and LF written as \\r and \\n."""
+    return value.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _write_table(
     f: TextIO,
     meta: Mapping[str, str],
@@ -173,7 +177,7 @@ def _write_table(
     """Metadata comment lines, then the header and rows as CSV. Floats are
     written with repr, so they read back bit for bit."""
     for key, value in meta.items():
-        f.write(f"# {key}: {value}\n")
+        f.write(f"# {key}: {_one_line(value)}\n")
     # csv quotes a field only for the characters of its line terminator, so
     # rows are formatted with CRLF, which gets a lone CR inside a field
     # quoted, and written with LF. Rows are formatted a chunk at a time so
@@ -220,10 +224,9 @@ def write_records_csv(
 
 
 def write_spectrum_csv(
-    spec: FrequencySpectrum, f: TextIO, meta: Mapping[str, str]
+    freqs: Mapping[int, int], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_table(f, meta, ("r", "f_r"),
-                 ((r, spec.freqs[r]) for r in sorted(spec.freqs)))
+    _write_table(f, meta, ("r", "f_r"), sorted(freqs.items()))
 
 
 _REPORT_FIELDS = (
@@ -275,6 +278,7 @@ def write_report_markdown(
     """Markdown table in the layout of the published tables:
     Group/Types/Tokens/TTR/f1/f2/Coverage (Samples/STR for incidence)."""
     for key, value in meta.items():
+        value = _one_line(value).replace("-->", "--&gt;")
         f.write(f"<!-- {key}: {value} -->\n")
     if mode == ABUNDANCE:
         unit, ratio = "Tokens", "TTR"

@@ -109,6 +109,8 @@ def accumulate(
     """
     if replicates < 1:
         raise InvalidSize(f"replicates must be >= 1, got {replicates}")
+    if not sizes:
+        raise InvalidSize("sizes must name at least one subsample size")
     counts = _counts(tally)
     n = int(counts.sum())
     for k in sizes:

@@ -165,31 +165,6 @@ class Tally:
 
 
 @dataclass(frozen=True)
-class FrequencySpectrum:
-    """Sparse map r -> f_r: the number of species seen exactly r times
-    (abundance) or in exactly r samples (incidence)."""
-
-    freqs: Mapping[int, int]
-    mode: str  # ABUNDANCE or INCIDENCE
-    n_or_m: int  # total tokens (abundance) or total samples (incidence)
-
-    @property
-    def s_obs(self) -> int:
-        return sum(self.freqs.values())
-
-    def f(self, r: int) -> int:
-        return self.freqs.get(r, 0)
-
-    @property
-    def f1(self) -> int:
-        return self.f(1)
-
-    @property
-    def f2(self) -> int:
-        return self.f(2)
-
-
-@dataclass(frozen=True)
 class GroupedDataset:
     """One tally per value of a grouping attribute (genre, composer, ...)."""
 
@@ -282,12 +257,14 @@ def tally_records(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def spectrum(tally: Tally) -> FrequencySpectrum:
-    """Histogram the per-species counts into the f_r spectrum."""
-    if not tally.counts:
+def spectrum(tally: Tally) -> dict[int, int]:
+    """The f_r spectrum {r: f_r} of a tally's positive counts: the number of
+    species seen exactly r times (abundance) or in exactly r samples
+    (incidence). A tally without a positive count raises EmptyDataset."""
+    freqs = Counter(c for c in tally.counts.values() if c > 0)
+    if not freqs:
         raise EmptyDataset("empty tally")
-    return FrequencySpectrum(dict(Counter(tally.counts.values())), tally.mode,
-                             tally.total)
+    return dict(freqs)
 
 
 def group_by(

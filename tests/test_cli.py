@@ -259,6 +259,15 @@ BOUNDARY_CASES = {
     "missing-group-column": (
         ["estimate", "--input", "sessions.csv", "--group-by", "nope"], {}, 1,
         "'nope'"),
+    "empty-sizes": (
+        ["accumulate", "--input", "sessions.csv", "--sizes", ","], {}, 1,
+        "InvalidSize"),
+    "negative-seed": (
+        ["estimate", "--input", "sessions.csv", "--seed", "-1"], {}, 2,
+        "argument --seed"),
+    "negative-seed-synth": (
+        ["synth", "--species", "10", "--tokens", "50", "--seed", "-1"], {}, 2,
+        "argument --seed"),
 }
 
 
@@ -386,3 +395,29 @@ def test_markdown_report_escapes_cells(tmp_path, capsys):
     ]
     for row in rows:
         assert len(re.split(r"(?<!\\)\|", row)) == 9  # 7 cells and 2 ends
+
+
+def test_metadata_with_line_break_reads_back(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name = "a\nb.csv"
+    assert run(["synth", "--species", "5", "--tokens", "20",
+                "--output", name]) == 0
+    assert run(["estimate", "--input", name]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "# command: silentspecies synth --species 5 --tokens " \
+                       "20 --output 'a\\nb.csv'"
+
+
+def test_markdown_metadata_comment_is_not_ended_early(sessions_csv,
+                                                      monkeypatch):
+    monkeypatch.chdir(sessions_csv.parent)
+    assert run(["report", "--input", "sessions.csv", "--group-by", "genre",
+                "--output", "x-->y.md"]) == 0
+    text = (sessions_csv.parent / "x-->y.md").read_text(encoding="utf-8")
+    comments = [line for line in text.splitlines() if line.startswith("<!--")]
+    assert len(comments) == 4
+    for line in comments:
+        assert line.endswith(" -->")
+        assert "-->" not in line[:-len(" -->")]
+    assert "--output 'x--&gt;y.md' -->" in comments[1]

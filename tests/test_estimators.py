@@ -7,89 +7,75 @@ from silentspecies import (
     ABUNDANCE,
     INCIDENCE,
     EmptyDataset,
-    FrequencySpectrum,
     Tally,
     InsufficientSamples,
-    chao1,
-    chao1_counts,
-    chao2,
     coverage_of,
     diversity_proxies,
+    estimate,
     estimate_tally,
     spectrum,
 )
 
 
-def abundance_spectrum(freqs):
-    n = sum(r * f for r, f in freqs.items())
-    return FrequencySpectrum(freqs, "abundance", n)
-
-
-def incidence_spectrum(freqs, m):
-    return FrequencySpectrum(freqs, "incidence", m)
+def estimate_freqs(freqs, mode, m=0, correction=False):
+    """`estimate` from an {r: f_r} spectrum."""
+    return estimate(sum(freqs.values()), freqs.get(1, 0), freqs.get(2, 0),
+                    mode, m, correction)
 
 
 class TestChao1:
     def test_march_genre_row(self):
-        est = chao1_counts(390, 110, 63)
+        est = estimate(390, 110, 63, ABUNDANCE)
         assert est.f0_hat == pytest.approx(96.032, abs=1e-3)
         assert est.s_hat == pytest.approx(486.032, abs=1e-3)
         assert est.coverage == pytest.approx(0.802, abs=1e-3)
 
     def test_mazurka_genre_row(self):
-        est = chao1_counts(109, 48, 12)
+        est = estimate(109, 48, 12, ABUNDANCE)
         assert est.f0_hat == 96.0
         assert est.s_hat == 205.0
         assert est.coverage == pytest.approx(0.532, abs=1e-3)
 
     def test_no_singletons_means_full_coverage(self):
-        est = chao1_counts(308, 0, 71)
+        est = estimate(308, 0, 71, ABUNDANCE)
         assert est.f0_hat == 0.0
         assert est.coverage == 1.0
         assert est.estimator_name == "chao1"
 
     def test_pooled_vocabulary_row(self):
-        est = chao1_counts(6015, 2488, 1097)
+        est = estimate(6015, 2488, 1097, ABUNDANCE)
         assert est.coverage == pytest.approx(0.681, abs=1e-3)
 
     def test_no_doubletons_uses_bias_corrected_fallback(self):
-        est = chao1_counts(5, 3, 0)
+        est = estimate(5, 3, 0, ABUNDANCE)
         assert est.f0_hat == 3.0  # 3*2/2
         assert est.estimator_name == "chao1-bc"
         assert est.used_fallback
 
-    def test_from_spectrum(self):
-        spec = abundance_spectrum({1: 110, 2: 63, 5: 217})
-        assert chao1(spec).s_hat == chao1_counts(390, 110, 63).s_hat
-
-    def test_rejects_incidence_spectrum(self):
-        with pytest.raises(ValueError):
-            chao1(incidence_spectrum({1: 2}, 3))
-
 
 class TestChao2:
     def test_uncorrected_matches_abundance_arithmetic(self):
-        est = chao2(incidence_spectrum({1: 41, 2: 5, 3: 161}, 50))
+        est = estimate_freqs({1: 41, 2: 5, 3: 161}, INCIDENCE, 50)
         assert est.f0_hat == pytest.approx(168.1)
         assert est.coverage == pytest.approx(0.552, abs=1e-3)
-        ref = chao1_counts(207, 41, 5)
+        ref = estimate(207, 41, 5, ABUNDANCE)
         assert est.s_hat == ref.s_hat
         assert est.coverage == ref.coverage
 
     def test_no_singletons_full_coverage_either_way(self):
         for correction in (False, True):
-            est = chao2(incidence_spectrum({2: 4, 7: 6}, 10), correction)
+            est = estimate_freqs({2: 4, 7: 6}, INCIDENCE, 10, correction)
             assert est.coverage == 1.0
 
     def test_small_sample_factor(self):
-        spec = incidence_spectrum({1: 10, 2: 5, 4: 3}, 100)
-        plain = chao2(spec, small_sample_correction=False)
-        scaled = chao2(spec, small_sample_correction=True)
+        freqs = {1: 10, 2: 5, 4: 3}
+        plain = estimate_freqs(freqs, INCIDENCE, 100, correction=False)
+        scaled = estimate_freqs(freqs, INCIDENCE, 100, correction=True)
         assert scaled.f0_hat == pytest.approx(plain.f0_hat * 0.99)
 
     def test_correction_needs_two_samples(self):
         with pytest.raises(InsufficientSamples):
-            chao2(incidence_spectrum({1: 3}, 1), small_sample_correction=True)
+            estimate_freqs({1: 3}, INCIDENCE, 1, correction=True)
 
 
 class TestCoverage:
@@ -128,7 +114,7 @@ spectra = st.dictionaries(
 
 @given(spectra)
 def test_estimate_is_lower_bounded_by_observed(freqs):
-    est = chao1(abundance_spectrum(freqs))
+    est = estimate_freqs(freqs, ABUNDANCE)
     assert est.s_hat >= est.s_obs
     assert 0.0 < est.coverage <= 1.0
     assert est.s_hat == pytest.approx(est.s_obs + est.f0_hat)
@@ -136,8 +122,8 @@ def test_estimate_is_lower_bounded_by_observed(freqs):
 
 @given(spectra, st.integers(min_value=2, max_value=7))
 def test_uniform_scaling_preserves_coverage(freqs, k):
-    base = chao1(abundance_spectrum(freqs))
-    scaled = chao1(abundance_spectrum({r: k * f for r, f in freqs.items()}))
+    base = estimate_freqs(freqs, ABUNDANCE)
+    scaled = estimate_freqs({r: k * f for r, f in freqs.items()}, ABUNDANCE)
     if not base.used_fallback:
         assert scaled.f0_hat == pytest.approx(k * base.f0_hat)
         assert scaled.coverage == pytest.approx(base.coverage)
@@ -145,7 +131,7 @@ def test_uniform_scaling_preserves_coverage(freqs, k):
 
 @given(spectra)
 def test_no_singletons_iff_nothing_unseen(freqs):
-    est = chao1(abundance_spectrum(freqs))
+    est = estimate_freqs(freqs, ABUNDANCE)
     if est.f1 == 0:
         assert est.coverage == 1.0
     if est.coverage < 1.0:
@@ -155,8 +141,8 @@ def test_no_singletons_iff_nothing_unseen(freqs):
 
 @given(spectra, st.integers(min_value=1, max_value=1000))
 def test_chao2_uncorrected_is_chao1_arithmetic(freqs, m):
-    a = chao1(abundance_spectrum(freqs))
-    b = chao2(incidence_spectrum(freqs, m))
+    a = estimate_freqs(freqs, ABUNDANCE)
+    b = estimate_freqs(freqs, INCIDENCE, m)
     assert (a.s_hat, a.f0_hat, a.coverage) == (b.s_hat, b.f0_hat, b.coverage)
 
 
@@ -172,10 +158,8 @@ def test_estimate_tally_matches_spectrum_estimators(counts, mode, correction,
         total = max(2, *counts) + extra_samples
     tally = Tally({f"s{i}": c for i, c in enumerate(counts)}, total, mode)
     spec = spectrum(tally)
-    if mode == ABUNDANCE:
-        expected = chao1(spec)
-    else:
-        expected = chao2(spec, correction)
+    expected = estimate(sum(spec.values()), spec.get(1, 0), spec.get(2, 0),
+                        mode, total, correction)
     assert estimate_tally(tally, correction) == expected
 
 
@@ -190,7 +174,7 @@ def test_all_singletons_triggers_fallback():
     # TTR = 1 means every species is a singleton, so f2 = 0
     tally = Tally({"a": 1, "b": 1, "c": 1}, 3, ABUNDANCE)
     assert diversity_proxies(tally) == 1.0
-    est = chao1(spectrum(tally))
+    est = estimate_tally(tally)
     assert est.used_fallback
 
 

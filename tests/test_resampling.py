@@ -9,8 +9,7 @@ from silentspecies import (
     SubsampleTooLarge,
     accumulate,
     bootstrap_ci,
-    chao1,
-    spectrum,
+    estimate_tally,
     Tally,
 )
 from silentspecies.resampling import THREADS_ENV, resolve_workers
@@ -47,7 +46,7 @@ def zipf_tally():
 
 class TestAccumulate:
     def test_full_size_reproduces_observed_richness(self, zipf_tally):
-        full = chao1(spectrum(zipf_tally))
+        full = estimate_tally(zipf_tally)
         points = accumulate(zipf_tally, [zipf_tally.total], replicates=5, seed=1)
         point = points[0]
         assert point.mean_s_obs == full.s_obs

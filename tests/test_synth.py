@@ -4,8 +4,7 @@ import pytest
 from silentspecies import (
     InvalidSpec,
     ObservationRecord,
-    chao1,
-    spectrum,
+    estimate_tally,
     tally_incidence,
 )
 from silentspecies.synth import (
@@ -68,7 +67,7 @@ class TestSample:
     def test_uniform_small_population_fully_observed(self):
         tally = sample(generate(PopulationSpec(10, "uniform")), 10_000, seed=1)
         assert tally.types == 10
-        est = chao1(spectrum(tally))
+        est = estimate_tally(tally)
         assert est.coverage == pytest.approx(1.0, abs=1e-6)
 
     def test_zipf_undersampled_keeps_lower_bound(self):
@@ -76,7 +75,7 @@ class TestSample:
             generate(PopulationSpec(1000, "zipf", alpha=1.2)), 5000, seed=2
         )
         assert tally.types < 1000
-        est = chao1(spectrum(tally))
+        est = estimate_tally(tally)
         assert est.s_hat >= est.s_obs
 
     def test_deterministic(self):

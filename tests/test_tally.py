@@ -90,14 +90,22 @@ class TestSpectrum:
         from silentspecies import ABUNDANCE, Tally
 
         spec = spectrum(Tally({"a": 3, "b": 1, "c": 1, "d": 2}, 7, ABUNDANCE))
-        assert spec.f1 == 2 and spec.f2 == 1 and spec.f(3) == 1
-        assert spec.s_obs == 4
+        assert spec.get(1, 0) == 2 and spec.get(2, 0) == 1 and spec.get(3, 0) == 1
+        assert sum(spec.values()) == 4
 
     def test_singleton_dataset(self):
         from silentspecies import ABUNDANCE, Tally
 
         spec = spectrum(Tally({"a": 1}, 1, ABUNDANCE))
-        assert spec.f1 == 1 and spec.s_obs == 1
+        assert spec.get(1, 0) == 1 and sum(spec.values()) == 1
+
+    def test_zero_counts_are_not_species_seen(self):
+        from silentspecies import Tally
+
+        assert spectrum(Tally({"a": 0, "b": 1, "c": 2}, 3, ABUNDANCE)) == {
+            1: 1, 2: 1}
+        with pytest.raises(EmptyDataset):
+            spectrum(Tally({"a": 0}, 0, INCIDENCE))
 
 
 class TestGroupBy:
@@ -179,9 +187,9 @@ def test_spectrum_matches_brute_force(records):
         return
     spec = spectrum(tally)
     freqs, s_obs, n = brute_force_spectrum(records)
-    assert spec.freqs == freqs
-    assert spec.s_obs == s_obs
-    assert sum(r * f for r, f in spec.freqs.items()) == n == tally.total
+    assert spec == freqs
+    assert sum(spec.values()) == s_obs
+    assert sum(r * f for r, f in spec.items()) == n == tally.total
 
 
 @given(records_strategy)
@@ -191,7 +199,7 @@ def test_token_sum_round_trip(records):
     except EmptyDataset:
         return
     spec = spectrum(tally)
-    assert sum(r * f for r, f in spec.freqs.items()) == sum(
+    assert sum(r * f for r, f in spec.items()) == sum(
         r.count for r in records
     )
 
