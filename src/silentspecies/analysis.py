@@ -95,25 +95,16 @@ def group_xy(
 ) -> tuple[list[float], list[float]]:
     """Per-group (x, y) value pairs in group-key order. x is "ttr", "str",
     or "one-minus-ttr"; y is "coverage" or "s_hat"."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for key in sorted(dataset.groups):
-        tally = dataset.groups[key]
-        proxy = diversity_proxies(tally)
-        est = estimate_tally(tally, small_sample_correction)
-        if x in ("ttr", "str"):
-            xs.append(proxy)
-        elif x == "one-minus-ttr":
-            xs.append(1.0 - proxy)
-        else:
-            raise ValueError(f"unknown x column {x!r}")
-        if y == "coverage":
-            ys.append(est.coverage)
-        elif y == "s_hat":
-            ys.append(est.s_hat)
-        else:
-            raise ValueError(f"unknown y column {y!r}")
-    return xs, ys
+    if x not in ("ttr", "str", "one-minus-ttr"):
+        raise ValueError(f"unknown x column {x!r}")
+    if y not in ("coverage", "s_hat"):
+        raise ValueError(f"unknown y column {y!r}")
+    rows = [summarize(key, dataset.groups[key], small_sample_correction)
+            for key in sorted(dataset.groups)]
+    xs = [row.ttr_or_str for row in rows]
+    if x == "one-minus-ttr":
+        xs = [1.0 - proxy for proxy in xs]
+    return xs, [getattr(row, y) for row in rows]
 
 
 def per_group_correlation(

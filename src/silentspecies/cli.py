@@ -45,7 +45,7 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                      help="read input CSV from standard input")
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     try:
         if int(text) >= 0:
             return int(text)
@@ -58,7 +58,7 @@ def _seed(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
     _add_input(parser)
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED,
                         help="seed for all randomness (default: %(default)s)")
     if mode:
         parser.add_argument("--mode", choices=[ABUNDANCE, INCIDENCE],
@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correction", action="store_true")
     p.add_argument("--trend-out", help="also write an x,fit,lower,upper trend CSV")
     p.add_argument("--trend-degree", type=int, default=2)
-    p.add_argument("--trend-replicates", type=int, default=200)
+    p.add_argument("--trend-replicates", type=_non_negative, default=200,
+                   help="bootstrap replicates for the trend band; 0 for none")
 
     p = sub.add_parser("synth", help="generate synthetic long-format CSV")
     p.add_argument("--distribution", choices=list(synth.DISTRIBUTIONS),
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-site", type=int, default=100,
                    help="tokens per site in incidence mode")
     p.add_argument("--detection", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
     p.add_argument("--output", help="output path (default: stdout)")
 
     return parser
@@ -167,9 +168,10 @@ def _read_records(args: argparse.Namespace) -> Observations:
         f.detach()  # sys.stdin keeps its buffer open
 
 
-def _write(args: argparse.Namespace, emit) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
+def _write(path: str | None, emit) -> None:
+    """Write through `emit` to the file at `path`, or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
             emit(f)
     else:
         emit(sys.stdout)
@@ -194,7 +196,7 @@ def _estimate_rows(args: argparse.Namespace, records: Observations):
 
 def _cmd_tally(args, meta) -> None:
     spec = spectrum(tally_records(_read_records(args), args.mode))
-    _write(args, lambda f: io.write_spectrum_csv(spec, f, meta))
+    _write(args.output, lambda f: io.write_spectrum_csv(spec, f, meta))
 
 
 def _cmd_estimate(args, meta) -> None:
@@ -210,14 +212,14 @@ def _cmd_estimate(args, meta) -> None:
         else:
             io.write_report_json(rows, f, meta)
 
-    _write(args, emit)
+    _write(args.output, emit)
 
 
 def _cmd_accumulate(args, meta) -> None:
     tally = tally_abundance(_read_records(args))
     points = resampling.accumulate(tally, args.sizes, args.replicates,
                                    args.seed)
-    _write(args, lambda f: io.write_accumulation_csv(points, f, meta))
+    _write(args.output, lambda f: io.write_accumulation_csv(points, f, meta))
 
 
 def _cmd_bootstrap(args, meta) -> None:
@@ -229,27 +231,22 @@ def _cmd_bootstrap(args, meta) -> None:
         seed=args.seed,
         small_sample_correction=args.correction,
     )
-    _write(args, lambda f: io.write_bootstrap_csv(results, f, meta))
+    _write(args.output, lambda f: io.write_bootstrap_csv(results, f, meta))
 
 
 def _cmd_correlate(args, meta) -> None:
     dataset = group_by(_read_records(args), args.group_by, args.mode)
     xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
     result = pearson(xs, ys)
-    _write(
-        args,
-        lambda f: io.write_correlation_csv(result, args.x, args.y, f, meta),
-    )
-    if args.trend_out:
-        fit = polyfit(
-            xs,
-            ys,
-            args.trend_degree,
-            bootstrap_replicates=args.trend_replicates,
-            seed=args.seed,
-        )
-        with open(args.trend_out, "w", encoding="utf-8", newline="\n") as f:
-            io.write_trend_csv(fit, f, meta)
+    fit = None
+    if args.trend_out:  # fitted first: a failing trend leaves no file
+        fit = polyfit(xs, ys, args.trend_degree,
+                      bootstrap_replicates=args.trend_replicates,
+                      seed=args.seed)
+    _write(args.output,
+           lambda f: io.write_correlation_csv(result, args.x, args.y, f, meta))
+    if fit is not None:
+        _write(args.trend_out, lambda f: io.write_trend_csv(fit, f, meta))
 
 
 def _cmd_synth(args, meta) -> None:
@@ -275,7 +272,7 @@ def _cmd_synth(args, meta) -> None:
             [tally.counts[s] for s in species],
             range(1, n + 1),
         )
-    _write(args, lambda f: io.write_records_csv(table, f, meta))
+    _write(args.output, lambda f: io.write_records_csv(table, f, meta))
 
 
 _HANDLERS = {

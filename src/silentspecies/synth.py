@@ -37,16 +37,22 @@ def generate(spec: PopulationSpec) -> np.ndarray:
     if spec.distribution == UNIFORM:
         probs = np.full(spec.s_true, 1.0 / spec.s_true)
     elif spec.distribution == ZIPF:
-        if spec.alpha <= 0:
-            raise InvalidSpec(f"zipf alpha must be > 0, got {spec.alpha}")
+        if not 0 < spec.alpha < np.inf:
+            raise InvalidSpec(
+                f"zipf alpha must be finite and > 0, got {spec.alpha}")
         weights = np.arange(1, spec.s_true + 1, dtype=float) ** -spec.alpha
         probs = weights / weights.sum()
     elif spec.distribution == LOGNORMAL:
-        if spec.sigma <= 0:
-            raise InvalidSpec(f"lognormal sigma must be > 0, got {spec.sigma}")
+        if not 0 < spec.sigma < np.inf:
+            raise InvalidSpec(
+                f"lognormal sigma must be finite and > 0, got {spec.sigma}")
         rng = np.random.default_rng(spec.seed)
         weights = rng.lognormal(mean=0.0, sigma=spec.sigma, size=spec.s_true)
-        probs = weights / weights.sum()
+        total = weights.sum()
+        if not 0 < total < np.inf:
+            raise InvalidSpec(f"lognormal sigma {spec.sigma} is too large: "
+                              f"the abundances sum to {total}")
+        probs = weights / total
     else:
         raise InvalidSpec(f"unknown distribution {spec.distribution!r}")
     return probs

@@ -169,8 +169,6 @@ class GroupedDataset:
     """One tally per value of a grouping attribute (genre, composer, ...)."""
 
     groups: Mapping[str, Tally]
-    group_field: str
-    mode: str
 
 
 def _observations(
@@ -199,12 +197,30 @@ def _check(obs: Observations, mode: str) -> None:
     raise SchemaError(f"row {row}: missing sample_id in incidence mode")
 
 
-def _tally(labels: Sequence[str], species: np.ndarray, counts: np.ndarray,
-           total: int, mode: str) -> Tally:
-    """Tally of the species codes present and their counts."""
+def _tally(
+    records: Observations | Iterable[ObservationRecord], mode: str
+) -> Tally:
+    """The one tally reduction behind tally_abundance and tally_incidence."""
+    obs = _observations(records)
+    _check(obs, mode)
+    present = obs.counts > 0
+    column = obs.column("species_id")
+    if mode == ABUNDANCE:
+        total = sum(obs.counts.tolist())
+        if total > _INT64_MAX:
+            raise SchemaError(f"total count {total} exceeds the int64 range")
+        species, index = np.unique(column.codes[present], return_inverse=True)
+        counts = np.zeros(len(species), dtype=np.int64)
+        np.add.at(counts, index, obs.counts[present])
+    else:
+        n_species = max(len(column.labels), 1)  # 1 for an empty table
+        pairs = np.unique(obs.column("sample_id").codes[present] * n_species
+                          + column.codes[present])
+        species, counts = np.unique(pairs % n_species, return_counts=True)
+        total = len(np.unique(pairs // n_species))
     if not len(species):
         raise EmptyDataset("no records with positive counts")
-    return Tally(dict(zip([labels[i] for i in species.tolist()],
+    return Tally(dict(zip([column.labels[i] for i in species.tolist()],
                           counts.tolist())), total, mode)
 
 
@@ -213,17 +229,7 @@ def tally_abundance(
 ) -> Tally:
     """Sum occurrence counts per species. Zero-count records are dropped;
     an input that is empty after dropping them raises EmptyDataset."""
-    obs = _observations(records)
-    _check(obs, ABUNDANCE)
-    total = sum(obs.counts.tolist())
-    if total > _INT64_MAX:
-        raise SchemaError(f"total count {total} exceeds the int64 range")
-    present = obs.counts > 0
-    column = obs.column("species_id")
-    species, index = np.unique(column.codes[present], return_inverse=True)
-    sums = np.zeros(len(species), dtype=np.int64)
-    np.add.at(sums, index, obs.counts[present])
-    return _tally(column.labels, species, sums, total, ABUNDANCE)
+    return _tally(records, ABUNDANCE)
 
 
 def tally_incidence(
@@ -234,16 +240,7 @@ def tally_incidence(
     Duplicate (sample, species) observations collapse to a single incidence:
     a species used many times within one sample is still a single presence.
     """
-    obs = _observations(records)
-    _check(obs, INCIDENCE)
-    present = obs.counts > 0
-    column = obs.column("species_id")
-    n_species = max(len(column.labels), 1)  # 1 for an empty table
-    pairs = np.unique(obs.column("sample_id").codes[present] * n_species
-                      + column.codes[present])
-    species, incidences = np.unique(pairs % n_species, return_counts=True)
-    samples = len(np.unique(pairs // n_species))
-    return _tally(column.labels, species, incidences, samples, INCIDENCE)
+    return _tally(records, INCIDENCE)
 
 
 def tally_records(
@@ -296,10 +293,8 @@ def group_by(
     groups: dict[str, Tally] = {}
     for code, key in enumerate(column.labels):
         part = order[bounds[code]:bounds[code + 1]]
-        try:
+        if (obs.counts[part] > 0).any():  # else only zero-count placeholders
             groups[key] = tally_records(obs.select(part), mode)
-        except EmptyDataset:
-            continue  # group contained only zero-count placeholder rows
     if not groups:
         raise EmptyDataset("all groups empty after dropping zero counts")
-    return GroupedDataset(groups, group_field, mode)
+    return GroupedDataset(groups)

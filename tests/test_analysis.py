@@ -7,7 +7,10 @@ from silentspecies import (
     INCIDENCE,
     DegenerateVariance,
     GroupedDataset,
+    ObservationRecord,
     Tally,
+    group_by,
+    group_xy,
     merge_tallies,
     per_group_correlation,
     report,
@@ -20,8 +23,6 @@ from silentspecies.synth import PopulationSpec, generate, sample
 def abundance_dataset(groups):
     return GroupedDataset(
         {k: Tally(counts, sum(counts.values()), ABUNDANCE) for k, counts in groups.items()},
-        "genre",
-        "abundance",
     )
 
 
@@ -130,8 +131,6 @@ class TestPerGroupCorrelation:
         population = generate(PopulationSpec(80, "zipf", alpha=1.2))
         ds = GroupedDataset(
             {f"g{i}": sample(population, 400 + 150 * i, seed=i) for i in range(8)},
-            "g",
-            "abundance",
         )
         a = per_group_correlation(ds, x="ttr")
         b = per_group_correlation(ds, x="one-minus-ttr")
@@ -144,3 +143,31 @@ def test_summarize_consistent_with_report_row():
     assert row.types == 4
     assert row.f1 == 2 and row.f2 == 1
     assert row.ttr_or_str == pytest.approx(4 / 7)
+
+
+@pytest.mark.parametrize("mode", [ABUNDANCE, INCIDENCE])
+@pytest.mark.parametrize("correction", [False, True])
+def test_group_xy_reads_summarize_rows_in_key_order(mode, correction):
+    records = [
+        ObservationRecord(f"m{i % 3}", species, count, {"genre": genre})
+        for i, (genre, species, count) in enumerate([
+            ("b", "a", 3), ("b", "b", 1), ("b", "c", 1), ("b", "d", 2),
+            ("b", "a", 1), ("a", "a", 1), ("a", "b", 1), ("a", "e", 1),
+            ("c", "a", 4), ("c", "c", 2), ("c", "f", 2), ("c", "g", 1),
+            ("c", "c", 1), ("c", "f", 3), ("a", "e", 2), ("a", "b", 1),
+        ])
+    ]
+    ds = group_by(records, "genre", mode)
+    rows = [summarize(k, ds.groups[k], correction) for k in sorted(ds.groups)]
+    for x in ("ttr", "str", "one-minus-ttr"):
+        want_x = [row.ttr_or_str for row in rows]
+        if x == "one-minus-ttr":
+            want_x = [1.0 - v for v in want_x]
+        for y in ("coverage", "s_hat"):
+            xs, ys = group_xy(ds, x, y, correction)
+            assert xs == want_x
+            assert ys == [getattr(row, y) for row in rows]
+    with pytest.raises(ValueError, match="'tokens'"):
+        group_xy(ds, x="tokens")
+    with pytest.raises(ValueError, match="'f1'"):
+        group_xy(ds, y="f1")

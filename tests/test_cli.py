@@ -211,6 +211,25 @@ def test_correlate_with_trend(tmp_path, capsys):
     assert len(trend_text.strip().splitlines()) > 4
 
 
+def test_correlate_writes_nothing_when_the_trend_fails(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_text(
+        "sample_id,species_id,count,genre\n"
+        "m1,a,3,Reel\nm1,b,1,Reel\n"
+        "m2,a,1,Jig\nm2,c,1,Jig\nm2,d,2,Jig\n"
+        "m3,a,2,Polka\nm3,e,1,Polka\nm3,f,1,Polka\nm3,g,2,Polka\n",
+        encoding="utf-8",
+    )
+    out, trend = tmp_path / "c.csv", tmp_path / "t.csv"
+    code = run(["correlate", "--input", str(path), "--group-by", "genre",
+                "--output", str(out), "--trend-out", str(trend),
+                "--trend-degree", "5"])
+    assert code == 1
+    assert "InsufficientPoints" in capsys.readouterr().err
+    assert not out.exists()
+    assert not trend.exists()
+
+
 def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -268,6 +287,16 @@ BOUNDARY_CASES = {
     "negative-seed-synth": (
         ["synth", "--species", "10", "--tokens", "50", "--seed", "-1"], {}, 2,
         "argument --seed"),
+    "synth-alpha-nan": (
+        ["synth", "--distribution", "zipf", "--alpha", "nan", "--species", "5",
+         "--tokens", "5"], {}, 1, "alpha"),
+    "synth-sigma-overflow": (
+        ["synth", "--distribution", "lognormal", "--sigma", "1e308",
+         "--species", "5", "--tokens", "5"], {}, 1, "sigma"),
+    "negative-trend-replicates": (
+        ["correlate", "--input", "sessions.csv", "--group-by", "genre",
+         "--trend-out", "trend.csv", "--trend-replicates", "-5"], {}, 2,
+        "argument --trend-replicates"),
 }
 
 

@@ -51,6 +51,11 @@ class TestGenerate:
             PopulationSpec(10, "zipf", alpha=0.0),
             PopulationSpec(10, "lognormal", sigma=-1.0),
             PopulationSpec(10, "cauchy"),
+            PopulationSpec(10, "zipf", alpha=float("nan")),
+            PopulationSpec(10, "zipf", alpha=float("inf")),
+            PopulationSpec(10, "lognormal", sigma=float("nan")),
+            PopulationSpec(10, "lognormal", sigma=float("inf")),
+            PopulationSpec(10, "lognormal", sigma=1e308),
         ],
     )
     def test_invalid_specs(self, spec):
