@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 import warnings
 from dataclasses import fields
 from io import TextIOWrapper
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import analysis, io, resampling, synth
 from .errors import SilentSpeciesError
@@ -168,13 +169,28 @@ def _read_records(args: argparse.Namespace) -> Observations:
         f.detach()  # sys.stdin keeps its buffer open
 
 
-def _write(path: str | None, emit) -> None:
-    """Write through `emit` to the file at `path`, or to stdout."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            emit(f)
-    else:
-        emit(sys.stdout)
+def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
+    """Write each (path, emit) output through `emit` to the file at `path`,
+    or to stdout. Every path is first opened for appending, which creates a
+    missing file and changes no existing one; when one cannot be opened,
+    the files this created are removed and nothing is written."""
+    created: list[str] = []
+    try:
+        for path in filter(None, (path for path, _ in outputs)):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, emit in outputs:
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                emit(f)
+        else:
+            emit(sys.stdout)
 
 
 def _command_string(argv: Sequence[str]) -> str:
@@ -196,7 +212,7 @@ def _estimate_rows(args: argparse.Namespace, records: Observations):
 
 def _cmd_tally(args, meta) -> None:
     spec = spectrum(tally_records(_read_records(args), args.mode))
-    _write(args.output, lambda f: io.write_spectrum_csv(spec, f, meta))
+    _write((args.output, lambda f: io.write_spectrum_csv(spec, f, meta)))
 
 
 def _cmd_estimate(args, meta) -> None:
@@ -212,14 +228,15 @@ def _cmd_estimate(args, meta) -> None:
         else:
             io.write_report_json(rows, f, meta)
 
-    _write(args.output, emit)
+    _write((args.output, emit))
 
 
 def _cmd_accumulate(args, meta) -> None:
     tally = tally_abundance(_read_records(args))
     points = resampling.accumulate(tally, args.sizes, args.replicates,
                                    args.seed)
-    _write(args.output, lambda f: io.write_accumulation_csv(points, f, meta))
+    _write((args.output,
+            lambda f: io.write_accumulation_csv(points, f, meta)))
 
 
 def _cmd_bootstrap(args, meta) -> None:
@@ -231,7 +248,7 @@ def _cmd_bootstrap(args, meta) -> None:
         seed=args.seed,
         small_sample_correction=args.correction,
     )
-    _write(args.output, lambda f: io.write_bootstrap_csv(results, f, meta))
+    _write((args.output, lambda f: io.write_bootstrap_csv(results, f, meta)))
 
 
 def _cmd_correlate(args, meta) -> None:
@@ -243,10 +260,12 @@ def _cmd_correlate(args, meta) -> None:
         fit = polyfit(xs, ys, args.trend_degree,
                       bootstrap_replicates=args.trend_replicates,
                       seed=args.seed)
-    _write(args.output,
-           lambda f: io.write_correlation_csv(result, args.x, args.y, f, meta))
+    outputs = [(args.output, lambda f: io.write_correlation_csv(
+        result, args.x, args.y, f, meta))]
     if fit is not None:
-        _write(args.trend_out, lambda f: io.write_trend_csv(fit, f, meta))
+        outputs.append((args.trend_out,
+                        lambda f: io.write_trend_csv(fit, f, meta)))
+    _write(*outputs)
 
 
 def _cmd_synth(args, meta) -> None:
@@ -272,7 +291,7 @@ def _cmd_synth(args, meta) -> None:
             [tally.counts[s] for s in species],
             range(1, n + 1),
         )
-    _write(args.output, lambda f: io.write_records_csv(table, f, meta))
+    _write((args.output, lambda f: io.write_records_csv(table, f, meta)))
 
 
 _HANDLERS = {

@@ -343,10 +343,11 @@ def write_correlation_csv(
 
 
 def write_trend_csv(fit: TrendFit, f: TextIO, meta: Mapping[str, str]) -> None:
-    """Plot-data grid: x,fit,lower,upper (no rows when no band was
-    computed)."""
+    """Plot-data grid: x,fit,lower,upper, one row per distinct x, with
+    lower and upper empty when no band was computed."""
+    band = fit.band or [(x, None, None) for x in fit.grid]
     _write_table(
         f, meta, ("x", "fit", "lower", "upper"),
         ((x, float(fit.predict([x])[0]), lower, upper)
-         for x, lower, upper in fit.band or ()),
+         for x, lower, upper in band),
     )

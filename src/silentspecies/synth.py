@@ -74,6 +74,18 @@ def sample(population: np.ndarray, n: int, seed: int) -> Tally:
     return Tally(counts, n, ABUNDANCE)
 
 
+def _population(population: np.ndarray) -> np.ndarray:
+    """The population as a float vector of probabilities, checked."""
+    probs = np.asarray(population, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise InvalidSpec("population must be a non-empty vector")
+    if not (np.isfinite(probs).all() and (probs >= 0).all()):
+        raise InvalidSpec("population must be finite and non-negative")
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise InvalidSpec(f"population must sum to 1, got {probs.sum()!r}")
+    return probs
+
+
 def sample_site_records(
     population: np.ndarray,
     m: int,
@@ -84,13 +96,35 @@ def sample_site_records(
     """Draw m independent sites of per_site_n tokens each and return the
     per-site observations as a table: one row per species seen at a site,
     site by site, with rows numbered from 1. `detection` < 1 independently
-    thins each observed token before it is recorded."""
+    thins each observed token before it is recorded.
+
+    Each site's counts are an exact multinomial(per_site_n, population)
+    draw on the site's own generator, made by whichever method is cheaper:
+    with fewer tokens than species, per_site_n categorical tokens (uniforms
+    looked up in the CDF, then counted), which costs O(per_site_n);
+    otherwise numpy's multinomial, which costs O(species)."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if per_site_n < 1:
         raise InvalidSpec(f"per_site_n must be >= 1, got {per_site_n}")
     if not 0.0 < detection <= 1.0:
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
+    population = _population(population)
+    k = population.size
+    if per_site_n < k:
+        # Divided by its last entry, which is then exactly 1, so no uniform
+        # in [0, 1) falls past the last species. side="right": a uniform
+        # equal to a CDF entry belongs to the next species, so a species of
+        # probability 0 is never drawn.
+        cdf = np.cumsum(population)
+        cdf /= cdf[-1]
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            tokens = cdf.searchsorted(rng.random(per_site_n), side="right")
+            return np.bincount(tokens, minlength=k)
+    else:
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            return rng.multinomial(per_site_n, population)
     site_width = max(4, len(str(m)))
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
@@ -98,7 +132,7 @@ def sample_site_records(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(site,))
         )
-        draws = rng.multinomial(per_site_n, population)
+        draws = draw(rng)
         if detection < 1.0:
             draws = rng.binomial(draws, detection)
         seen = np.flatnonzero(draws)
@@ -109,8 +143,7 @@ def sample_site_records(
         "sample_id": Column(
             [f"site{site:0{site_width}d}" for site in range(1, m + 1)],
             sites, -1),
-        "species_id": Column(_species_labels(population.size),
-                             np.concatenate(species), -1),
+        "species_id": Column(_species_labels(k), np.concatenate(species), -1),
     }
     return Observations.of(columns, np.concatenate(counts),
                            np.arange(1, len(sites) + 1))

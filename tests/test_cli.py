@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import re
+from itertools import chain
 
 import pytest
 
@@ -211,15 +212,17 @@ def test_correlate_with_trend(tmp_path, capsys):
     assert len(trend_text.strip().splitlines()) > 4
 
 
+THREE_GENRES = (
+    "sample_id,species_id,count,genre\n"
+    "m1,a,3,Reel\nm1,b,1,Reel\n"
+    "m2,a,1,Jig\nm2,c,1,Jig\nm2,d,2,Jig\n"
+    "m3,a,2,Polka\nm3,e,1,Polka\nm3,f,1,Polka\nm3,g,2,Polka\n"
+)
+
+
 def test_correlate_writes_nothing_when_the_trend_fails(tmp_path, capsys):
     path = tmp_path / "three.csv"
-    path.write_text(
-        "sample_id,species_id,count,genre\n"
-        "m1,a,3,Reel\nm1,b,1,Reel\n"
-        "m2,a,1,Jig\nm2,c,1,Jig\nm2,d,2,Jig\n"
-        "m3,a,2,Polka\nm3,e,1,Polka\nm3,f,1,Polka\nm3,g,2,Polka\n",
-        encoding="utf-8",
-    )
+    path.write_text(THREE_GENRES, encoding="utf-8")
     out, trend = tmp_path / "c.csv", tmp_path / "t.csv"
     code = run(["correlate", "--input", str(path), "--group-by", "genre",
                 "--output", str(out), "--trend-out", str(trend),
@@ -228,6 +231,47 @@ def test_correlate_writes_nothing_when_the_trend_fails(tmp_path, capsys):
     assert "InsufficientPoints" in capsys.readouterr().err
     assert not out.exists()
     assert not trend.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("bad", ["--output", "--trend-out"])
+def test_correlate_writes_nothing_when_an_output_cannot_open(
+        tmp_path, capsys, bad, existing):
+    path, good = tmp_path / "three.csv", tmp_path / "good.csv"
+    path.write_text(THREE_GENRES, encoding="utf-8")
+    if existing:
+        good.write_text("kept\n", encoding="utf-8")
+    outputs = {"--output": str(good), "--trend-out": str(good)}
+    outputs[bad] = str(tmp_path / "nodir" / "x.csv")
+    code = run(["correlate", "--input", str(path), "--group-by", "genre",
+                "--trend-degree", "1", *chain(*outputs.items())])
+    assert code == 1
+    assert "FileNotFoundError" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["good.csv", "three.csv"] if existing else ["three.csv"])
+    if existing:
+        assert good.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_correlate_trend_without_band_writes_the_fit(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text(THREE_GENRES, encoding="utf-8")
+
+    def trend_rows(replicates):
+        trend = tmp_path / f"t{replicates}.csv"
+        assert run(["correlate", "--input", str(path), "--group-by", "genre",
+                    "--output", str(tmp_path / "c.csv"),
+                    "--trend-out", str(trend), "--trend-degree", "1",
+                    "--trend-replicates", str(replicates)]) == 0
+        return [line.split(",") for line in
+                trend.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")]
+
+    rows, banded = trend_rows(0), trend_rows(20)
+    assert rows[0] == ["x", "fit", "lower", "upper"]
+    assert len(rows) == 4  # one row per genre's distinct x
+    assert [r[:2] for r in rows] == [r[:2] for r in banded]
+    assert all(lower == upper == "" for _, _, lower, upper in rows[1:])
 
 
 def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):

@@ -82,6 +82,12 @@ CASES = {
          "--seed", "5", "--output", "synth_sites.csv"],
         ["synth_sites.csv"],
     ),
+    "synth-sites-dense": (  # per-site >= species: the multinomial branch
+        ["synth", "--distribution", "zipf", "--species", "40",
+         "--sites", "10", "--per-site", "200", "--detection", "0.7",
+         "--seed", "9", "--output", "synth_sites_dense.csv"],
+        ["synth_sites_dense.csv"],
+    ),
 }
 
 

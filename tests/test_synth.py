@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -108,12 +110,16 @@ class TestSampleSites:
 
     @pytest.mark.parametrize("detection", [1.0, 0.5])
     def test_table_matches_per_site_record_loop(self, detection):
+        # 40 tokens over 60 species: each site draws categorical tokens.
         probs = generate(PopulationSpec(60, "zipf", alpha=1.1))
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
         expected = []
         for site in range(12):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=8, spawn_key=(site,)))
-            draws = rng.multinomial(40, probs)
+            draws = np.bincount(
+                cdf.searchsorted(rng.random(40), side="right"), minlength=60)
             if detection < 1.0:
                 draws = rng.binomial(draws, detection)
             for i in np.flatnonzero(draws):
@@ -123,10 +129,100 @@ class TestSampleSites:
         assert list(table) == expected
         assert table.rows.tolist() == list(range(1, len(expected) + 1))
 
+    # A uniform lands on a CDF entry, or past an unnormalised last entry,
+    # with probability about 2**-53 per token, which no sample-size oracle
+    # can see; these tests feed such uniforms in directly.
+    @staticmethod
+    def species_drawn(monkeypatch, probs, uniforms):
+        fake = SimpleNamespace(random=lambda size: np.array(uniforms))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
+        table = sample_site_records(np.array(probs), 1, len(uniforms))
+        return [r.species_id for r in table]
+
+    def test_uniform_on_a_cdf_entry_draws_the_next_species(self, monkeypatch):
+        drawn = self.species_drawn(monkeypatch, [0.0, 0.5, 0.0, 0.5],
+                                   [0.0, 0.5])
+        assert drawn == ["sp0002", "sp0004"]
+
+    def test_uniform_below_one_draws_the_last_species(self, monkeypatch):
+        probs = [0.1] * 10
+        uniform = np.nextafter(1.0, 0.0)
+        assert np.cumsum(probs)[-1] <= uniform  # unnormalised, it falls past
+        assert self.species_drawn(monkeypatch, probs, [uniform]) == ["sp0010"]
+
+    @pytest.mark.parametrize("per_site_n", [2, 10],
+                             ids=["categorical", "multinomial"])
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 0.5, 0.25, 0.25],
+        [-0.1, 0.6, 0.25, 0.25],
+        [0.35, 0.25, 0.25, 0.25],
+    ], ids=["nan", "negative", "sum-1.1"])
+    def test_invalid_population(self, probs, per_site_n):
+        with pytest.raises(InvalidSpec):
+            sample_site_records(np.array(probs), 3, per_site_n)
+
     def test_invalid_detection(self):
         probs = generate(PopulationSpec(5, "uniform"))
         with pytest.raises(InvalidSpec):
             tally_incidence(sample_site_records(probs, 3, 10, detection=0.0))
+
+
+# The per-site sampler is chosen by cost: per_site_n < K draws categorical
+# tokens, otherwise a multinomial. Both must give each site a
+# multinomial(per_site_n, population) count vector. The oracles below check
+# the moments of that distribution on seeds used nowhere else.
+BRANCHES = {"categorical": (100, 40), "multinomial": (20, 200)}  # K, n
+SHAPES = {
+    "uniform": {"distribution": "uniform"},
+    "zipf": {"distribution": "zipf", "alpha": 1.1},
+    "lognormal": {"distribution": "lognormal", "sigma": 1.0, "seed": 71},
+}
+ORACLE_SITES = 3000
+
+
+def site_count_matrix(population, m, n, seed):
+    """Sites x species counts drawn by sample_site_records."""
+    table = sample_site_records(population, m, n, seed=seed)
+    matrix = np.zeros((m, population.size), dtype=np.int64)
+    matrix[table.columns["sample_id"].codes,
+           table.columns["species_id"].codes] = table.counts
+    return matrix
+
+
+@pytest.fixture(scope="module", params=[
+    (branch, shape) for branch in BRANCHES for shape in SHAPES],
+    ids=lambda case: "-".join(case))
+def oracle_draw(request):
+    branch, shape = request.param
+    k, n = BRANCHES[branch]
+    probs = generate(PopulationSpec(k, **SHAPES[shape]))
+    seed = 9100 + list(BRANCHES).index(branch) * 10 + list(SHAPES).index(shape)
+    return probs, n, site_count_matrix(probs, ORACLE_SITES, n, seed)
+
+
+class TestSiteDistributionOracle:
+    def test_per_species_mean(self, oracle_draw):
+        probs, n, matrix = oracle_draw
+        m = matrix.shape[0]
+        se = np.sqrt(n * probs * (1 - probs) / m)
+        assert (np.abs(matrix.mean(axis=0) - n * probs) <= 4 * se).all()
+
+    def test_per_species_variance(self, oracle_draw):
+        # Var of the sample variance from the binomial marginal's central
+        # moments: mu4 = npq(1 + 3(n-2)pq).
+        probs, n, matrix = oracle_draw
+        m = matrix.shape[0]
+        npq = n * probs * (1 - probs)
+        mu4 = npq * (1 + 3 * (n - 2) * probs * (1 - probs))
+        se = np.sqrt(mu4 / m - npq ** 2 * (m - 3) / (m * (m - 1)))
+        assert (np.abs(matrix.var(axis=0, ddof=1) - npq) <= 4 * se).all()
+
+    def test_pooled_chi_square(self, oracle_draw):
+        probs, n, matrix = oracle_draw
+        expected = matrix.shape[0] * n * probs
+        chi2 = (((matrix.sum(axis=0) - expected) ** 2) / expected).sum()
+        df = probs.size - 1
+        assert abs(chi2 - df) <= 4 * np.sqrt(2 * df)
 
 
 def test_more_tokens_never_fewer_expected_species():
