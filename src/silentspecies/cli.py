@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import shlex
+import stat
 import sys
 import warnings
+from contextlib import ExitStack
 from dataclasses import fields
 from io import TextIOWrapper
 from typing import Callable, Sequence, TextIO
@@ -169,28 +171,44 @@ def _read_records(args: argparse.Namespace) -> Observations:
         f.detach()  # sys.stdin keeps its buffer open
 
 
+def _open_output(path: str, created: list[str]) -> int:
+    """A write descriptor on `path`, not truncated; `path` joins `created`
+    when this call made the file."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileExistsError:
+        return os.open(path, os.O_WRONLY | os.O_CREAT)
+    created.append(path)
+    return fd
+
+
 def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
     """Write each (path, emit) output through `emit` to the file at `path`,
-    or to stdout. Every path is first opened for appending, which creates a
-    missing file and changes no existing one; when one cannot be opened,
-    the files this created are removed and nothing is written."""
+    or to stdout. Every path is opened once, before any is written; when
+    one cannot be opened, the files this call created are removed and
+    nothing is written. A regular file is truncated just before it is
+    written; a FIFO or a device is written as it is."""
     created: list[str] = []
-    try:
-        for path in filter(None, (path for path, _ in outputs)):
-            existed = os.path.exists(path)
-            open(path, "a").close()
-            if not existed:
-                created.append(path)
-    except OSError:
-        for path in created:
-            os.remove(path)
-        raise
-    for path, emit in outputs:
-        if path:
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with ExitStack() as stack:
+        try:
+            files = [
+                stack.enter_context(open(_open_output(path, created), "w",
+                                         encoding="utf-8", newline="\n"))
+                if path else sys.stdout
+                for path, _ in outputs
+            ]
+        except OSError:
+            for path in created:
+                os.remove(path)
+            raise
+        for (_, emit), f in zip(outputs, files):
+            if f is sys.stdout:
                 emit(f)
-        else:
-            emit(sys.stdout)
+                continue
+            with f:  # closed before the next output, which may be this file
+                if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    os.ftruncate(f.fileno(), 0)
+                emit(f)
 
 
 def _command_string(argv: Sequence[str]) -> str:
@@ -264,7 +282,7 @@ def _cmd_correlate(args, meta) -> None:
         result, args.x, args.y, f, meta))]
     if fit is not None:
         outputs.append((args.trend_out,
-                        lambda f: io.write_trend_csv(fit, f, meta)))
+                        lambda f: io.write_trend_csv(fit, xs, f, meta)))
     _write(*outputs)
 
 

@@ -342,10 +342,17 @@ def write_correlation_csv(
     )
 
 
-def write_trend_csv(fit: TrendFit, f: TextIO, meta: Mapping[str, str]) -> None:
-    """Plot-data grid: x,fit,lower,upper, one row per distinct x, with
-    lower and upper empty when no band was computed."""
-    band = fit.band or [(x, None, None) for x in fit.grid]
+def write_trend_csv(
+    fit: TrendFit,
+    xs: Sequence[float],
+    f: TextIO,
+    meta: Mapping[str, str],
+) -> None:
+    """Plot-data grid: x,fit,lower,upper, one row per distinct x of the
+    fitted points `xs`, with lower and upper empty when no band was
+    computed."""
+    grid = np.unique(np.asarray(xs, dtype=float)).tolist()
+    band = fit.band or [(x, None, None) for x in grid]
     _write_table(
         f, meta, ("x", "fit", "lower", "upper"),
         ((x, float(fit.predict([x])[0]), lower, upper)

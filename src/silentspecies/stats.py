@@ -32,15 +32,13 @@ class RegressionResult:
 class TrendFit:
     """Least-squares polynomial fit; coefficients in ascending powers of x.
 
-    `grid` holds the sorted distinct x values of the fitted points. `band`
-    holds (x, lower, upper) triples over the grid from a percentile
-    bootstrap over the input points, or None when no band was requested.
+    `band` holds (x, lower, upper) triples from a percentile bootstrap over
+    the input points, or None when no band was requested.
     """
 
     degree: int
     coefficients: tuple[float, ...]
     band: tuple[tuple[float, float, float], ...] | None = None
-    grid: tuple[float, ...] = ()
 
     def predict(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(
@@ -190,10 +188,10 @@ def polyfit(
         return coeffs
 
     coefficients = fit_coeffs(xa, ya)
-    grid = np.unique(xa)
 
     band = None
     if bootstrap_replicates > 0:
+        grid = np.unique(xa)
         curves = np.empty((bootstrap_replicates, grid.size))
         for rep in range(bootstrap_replicates):
             rng = np.random.default_rng(
@@ -215,5 +213,4 @@ def polyfit(
         degree=degree,
         coefficients=tuple(float(c) for c in coefficients),
         band=band,
-        grid=tuple(float(g) for g in grid),
     )

@@ -100,9 +100,10 @@ def sample_site_records(
 
     Each site's counts are an exact multinomial(per_site_n, population)
     draw on the site's own generator, made by whichever method is cheaper:
-    with fewer tokens than species, per_site_n categorical tokens (uniforms
-    looked up in the CDF, then counted), which costs O(per_site_n);
-    otherwise numpy's multinomial, which costs O(species)."""
+    with fewer than half as many tokens as species, per_site_n categorical
+    tokens (uniforms looked up in the CDF, then counted), which costs
+    O(per_site_n log species + species); otherwise numpy's multinomial,
+    which costs O(species)."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if per_site_n < 1:
@@ -111,7 +112,9 @@ def sample_site_records(
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
-    if per_site_n < k:
+    # Measured per site over 500 and 5,000 species (uniform, zipf and
+    # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
+    if 2 * per_site_n < k:
         # Divided by its last entry, which is then exactly 1, so no uniform
         # in [0, 1) falls past the last species. side="right": a uniform
         # equal to a CDF entry belongs to the next species, so a species of

@@ -1,6 +1,9 @@
 import io as stdio
 import json
+import os
 import re
+import select
+import threading
 from itertools import chain
 
 import pytest
@@ -126,6 +129,53 @@ def test_synth_builds_no_record_objects(draw, monkeypatch, capsys):
              if not line.startswith("#")]
     assert lines[0] == "sample_id,species_id,count"
     assert len(lines) > 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_synth_output_to_a_fifo_completes(tmp_path, capsys):
+    argv = ["synth", "--distribution", "zipf", "--species", "50",
+            "--sites", "5", "--seed", "7"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    got = {}
+
+    def read_to_eof():
+        # Like `cat`, this stops at the first end of file, which a writer
+        # that opened and closed the pipe before writing would cause.
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        chunks = []
+        while True:
+            poller.poll()
+            try:
+                chunk = os.read(fd, 1 << 16)
+            except BlockingIOError:
+                continue
+            if not chunk:
+                break
+            chunks.append(chunk)
+        os.close(fd)
+        got["text"] = b"".join(chunks).decode("utf-8")
+
+    threads = [
+        threading.Thread(target=read_to_eof, daemon=True),
+        threading.Thread(target=lambda: got.update(
+            code=run([*argv, "--output", str(fifo)])), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got["code"] == 0
+
+    def data(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    assert data(got["text"]) == data(expected)
 
 
 def test_library_warning_is_one_stderr_line(sessions_csv, capsys):

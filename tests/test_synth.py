@@ -110,24 +110,31 @@ class TestSampleSites:
 
     @pytest.mark.parametrize("detection", [1.0, 0.5])
     def test_table_matches_per_site_record_loop(self, detection):
-        # 40 tokens over 60 species: each site draws categorical tokens.
+        # Over 60 species, 29 tokens a site are drawn as categorical tokens
+        # and 30, half the species, by a multinomial.
         probs = generate(PopulationSpec(60, "zipf", alpha=1.1))
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        expected = []
-        for site in range(12):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=8, spawn_key=(site,)))
-            draws = np.bincount(
-                cdf.searchsorted(rng.random(40), side="right"), minlength=60)
-            if detection < 1.0:
-                draws = rng.binomial(draws, detection)
-            for i in np.flatnonzero(draws):
-                expected.append(ObservationRecord(
-                    f"site{site + 1:04d}", f"sp{i + 1:04d}", int(draws[i])))
-        table = sample_site_records(probs, 12, 40, detection, seed=8)
-        assert list(table) == expected
-        assert table.rows.tolist() == list(range(1, len(expected) + 1))
+        for n in (29, 30):
+            expected = []
+            for site in range(12):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=8, spawn_key=(site,)))
+                if n == 29:
+                    draws = np.bincount(
+                        cdf.searchsorted(rng.random(n), side="right"),
+                        minlength=60)
+                else:
+                    draws = rng.multinomial(n, probs)
+                if detection < 1.0:
+                    draws = rng.binomial(draws, detection)
+                for i in np.flatnonzero(draws):
+                    expected.append(ObservationRecord(
+                        f"site{site + 1:04d}", f"sp{i + 1:04d}",
+                        int(draws[i])))
+            table = sample_site_records(probs, 12, n, detection, seed=8)
+            assert list(table) == expected
+            assert table.rows.tolist() == list(range(1, len(expected) + 1))
 
     # A uniform lands on a CDF entry, or past an unnormalised last entry,
     # with probability about 2**-53 per token, which no sample-size oracle
@@ -140,7 +147,7 @@ class TestSampleSites:
         return [r.species_id for r in table]
 
     def test_uniform_on_a_cdf_entry_draws_the_next_species(self, monkeypatch):
-        drawn = self.species_drawn(monkeypatch, [0.0, 0.5, 0.0, 0.5],
+        drawn = self.species_drawn(monkeypatch, [0.0, 0.5, 0.0, 0.5, 0.0],
                                    [0.0, 0.5])
         assert drawn == ["sp0002", "sp0004"]
 
@@ -150,7 +157,7 @@ class TestSampleSites:
         assert np.cumsum(probs)[-1] <= uniform  # unnormalised, it falls past
         assert self.species_drawn(monkeypatch, probs, [uniform]) == ["sp0010"]
 
-    @pytest.mark.parametrize("per_site_n", [2, 10],
+    @pytest.mark.parametrize("per_site_n", [1, 10],
                              ids=["categorical", "multinomial"])
     @pytest.mark.parametrize("probs", [
         [np.nan, 0.5, 0.25, 0.25],
@@ -167,7 +174,7 @@ class TestSampleSites:
             tally_incidence(sample_site_records(probs, 3, 10, detection=0.0))
 
 
-# The per-site sampler is chosen by cost: per_site_n < K draws categorical
+# The per-site sampler is chosen by cost: per_site_n < K/2 draws categorical
 # tokens, otherwise a multinomial. Both must give each site a
 # multinomial(per_site_n, population) count vector. The oracles below check
 # the moments of that distribution on seeds used nowhere else.
