@@ -88,6 +88,12 @@ CASES = {
          "--seed", "9", "--output", "synth_sites_dense.csv"],
         ["synth_sites_dense.csv"],
     ),
+    "synth-sites-full": (  # detection 1: the categorical draw, unthinned
+        ["synth", "--distribution", "zipf", "--species", "500",
+         "--sites", "40", "--per-site", "30", "--detection", "1",
+         "--seed", "13", "--output", "synth_sites_full.csv"],
+        ["synth_sites_full.csv"],
+    ),
 }
 
 
