@@ -18,7 +18,7 @@ import re
 from dataclasses import asdict
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import SchemaError
 from .resampling import AccumulationPoint, BootstrapResult
 from .stats import RegressionResult, TrendFit
 from .tally import (
+    _INT64_MAX,
     ABUNDANCE,
     Column,
     ObservationRecord,
@@ -37,6 +38,7 @@ from .version import __version__
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
 _CHUNK_ROWS = 1024
+_SHOWN = 40  # characters of a bad count quoted in its error
 # The characters that errors="surrogateescape" puts for undecodable bytes.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _LINE_BREAK = re.compile("\r\n|\r|\n")
@@ -129,18 +131,32 @@ def read_records(f: TextIO) -> Observations:
 
 def _parse_count(row: int, text: str) -> int:
     """A count is ASCII digits; int() alone also takes "+3", "1_000" and
-    non-ASCII digits."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = None
-    if count is not None and text.isascii() and text.isdigit():
-        return count
-    digits = text[1:]
-    if count is not None and count < 0 and digits.isascii() and digits.isdigit():
-        raise SchemaError(f"row {row}: negative count {count}")
+    non-ASCII digits. A bad count's error echoes at most _SHOWN characters
+    of it, and then its length."""
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if digits.isascii() and digits.isdigit():
+        if negative and digits.strip("0"):
+            raise SchemaError(f"row {row}: negative count {_shown(text)}")
+        if not negative:
+            # Cut and measured first: int() refuses over 4,300 digits.
+            value = digits.lstrip("0") or "0"
+            if (len(value) > len(str(_INT64_MAX))
+                    or int(value) > _INT64_MAX):
+                raise SchemaError(
+                    f"row {row}: count {_shown(text)} outside the int64 range")
+            return int(value)
     _check_decoded(row, "'count'", text)
-    raise SchemaError(f"row {row}: non-integer count {text!r}")
+    raise SchemaError(f"row {row}: non-integer count {_shown(text, repr)}")
+
+
+def _shown(text: str, form: Callable[[str], str] = str) -> str:
+    """`text` for an error message, cut to _SHOWN characters and then
+    followed by its length."""
+    shown = form(text[:_SHOWN])
+    if len(text) <= _SHOWN:
+        return shown
+    return f"{shown}... ({len(text)} characters)"
 
 
 def _check_decoded(row: int, where: str, text: str) -> None:
@@ -207,20 +223,37 @@ def write_records_csv(
     meta: Mapping[str, str],
 ) -> None:
     """The sample_id, species_id and count columns of a table, as long
-    format. A record list is converted to a table once."""
+    format. A record list is converted to a table once.
+
+    Rows are written as _write_table writes them, but each distinct label
+    is quoted once and each distinct count formatted once; a chunk of rows
+    is then their texts gathered from object arrays by the codes."""
     obs = _observations(records)
     sample, species = obs.column("sample_id"), obs.column("species_id")
-    # Labels are gathered a chunk at a time from object arrays, in C.
-    sample_labels = np.array(sample.labels, dtype=object)
-    species_labels = np.array(species.labels, dtype=object)
-    parts = (slice(start, start + _CHUNK_ROWS)
-             for start in range(0, len(obs), _CHUNK_ROWS))
-    _write_table(f, meta, LONG_COLUMNS, chain.from_iterable(
-        zip(sample_labels[sample.codes[part]].tolist(),
-            species_labels[species.codes[part]].tolist(),
-            obs.counts[part].tolist())
-        for part in parts
-    ))
+    _write_table(f, meta, LONG_COLUMNS, ())
+    sample_fields = _leading_fields(sample.labels)
+    species_fields = _leading_fields(species.labels)
+    texts: dict[int, str] = {}
+    for start in range(0, len(obs), _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        counts = [texts.get(count) or texts.setdefault(count, f"{count}\n")
+                  for count in obs.counts[part].tolist()]
+        rows = (sample_fields[sample.codes[part]]
+                + species_fields[species.codes[part]]
+                + np.array(counts, dtype=object))
+        f.write("".join(rows.tolist()))
+
+
+def _leading_fields(labels: Sequence[str]) -> np.ndarray:
+    """Each label as _write_table writes it before a further field: quoted
+    by the csv rule, then its comma. A label alone in its row is written
+    differently (an empty one as '""'), so each is formatted with an empty
+    field after it."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append),
+                        lineterminator="\r\n")
+    writer.writerows((label, "") for label in labels)
+    return np.array([line[:-2] for line in lines], dtype=object)
 
 
 def write_spectrum_csv(

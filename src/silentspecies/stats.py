@@ -11,6 +11,8 @@ dependency beyond numpy.
 from __future__ import annotations
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,14 +195,23 @@ def polyfit(
     if bootstrap_replicates > 0:
         grid = np.unique(xa)
         curves = np.empty((bootstrap_replicates, grid.size))
-        for rep in range(bootstrap_replicates):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-            )
-            idx = rng.integers(0, xa.size, size=xa.size)
-            curves[rep] = np.polynomial.polynomial.polyval(
-                grid, fit_coeffs(xa[idx], ya[idx])
-            )
+        # (category, message) -> the number of replicates that warned so
+        warned: Counter[tuple[type[Warning], str]] = Counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rep in range(bootstrap_replicates):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+                )
+                idx = rng.integers(0, xa.size, size=xa.size)
+                curves[rep] = np.polynomial.polynomial.polyval(
+                    grid, fit_coeffs(xa[idx], ya[idx])
+                )
+                warned.update({(w.category, str(w.message)) for w in caught})
+                caught.clear()
+        for (category, message), count in warned.items():
+            warnings.warn(f"{count} of {bootstrap_replicates} trend "
+                          f"replicates: {message}", category, stacklevel=2)
         alpha = (1.0 - level) / 2.0
         lower = np.quantile(curves, alpha, axis=0)
         upper = np.quantile(curves, 1.0 - alpha, axis=0)

@@ -3,6 +3,7 @@ oracle for validating the estimators end to end."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,7 @@ def sample(population: np.ndarray, n: int, seed: int) -> Tally:
     """Draw n tokens (exact multinomial) from the population and tally."""
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n}")
+    population = _population(population)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.multinomial(n, population)
     labels = _species_labels(population.size)
@@ -102,8 +104,8 @@ def sample_site_records(
     draw on the site's own generator, made by whichever method is cheaper:
     with fewer than half as many tokens as species, per_site_n categorical
     tokens (uniforms looked up in the CDF, then counted), which costs
-    O(per_site_n log species + species); otherwise numpy's multinomial,
-    which costs O(species)."""
+    O(per_site_n log species) and is done for all sites in one batch;
+    otherwise numpy's multinomial, which costs O(species)."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if per_site_n < 1:
@@ -112,41 +114,82 @@ def sample_site_records(
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
+    rngs = (np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(site,)))
+        for site in range(m))
     # Measured per site over 500 and 5,000 species (uniform, zipf and
     # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
     if 2 * per_site_n < k:
-        # Divided by its last entry, which is then exactly 1, so no uniform
-        # in [0, 1) falls past the last species. side="right": a uniform
-        # equal to a CDF entry belongs to the next species, so a species of
-        # probability 0 is never drawn.
-        cdf = np.cumsum(population)
-        cdf /= cdf[-1]
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            tokens = cdf.searchsorted(rng.random(per_site_n), side="right")
-            return np.bincount(tokens, minlength=k)
+        sites, species, counts = _categorical_sites(
+            population, list(rngs), per_site_n, detection)
     else:
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            return rng.multinomial(per_site_n, population)
+        sites, species, counts = _multinomial_sites(
+            population, rngs, per_site_n, detection)
     site_width = max(4, len(str(m)))
+    columns = {
+        "sample_id": Column(
+            [f"site{site:0{site_width}d}" for site in range(1, m + 1)],
+            sites, -1),
+        "species_id": Column(_species_labels(k), species, -1),
+    }
+    return Observations.of(columns, counts, np.arange(1, len(sites) + 1))
+
+
+def _categorical_sites(
+    population: np.ndarray,
+    rngs: list[np.random.Generator],
+    per_site_n: int,
+    detection: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(site, species, count) of every species seen, site by site and
+    species ascending: each site's per_site_n uniforms, drawn on its own
+    generator, are looked up in the CDF in one batch for all sites."""
+    k = population.size
+    # Divided by its last entry, which is then exactly 1, so no uniform in
+    # [0, 1) falls past the last species. side="right": a uniform equal to a
+    # CDF entry belongs to the next species, so a species of probability 0
+    # is never drawn.
+    cdf = np.cumsum(population)
+    cdf /= cdf[-1]
+    uniforms = np.empty((len(rngs), per_site_n))
+    for rng, row in zip(rngs, uniforms):
+        rng.random(out=row)
+    uniforms.sort(axis=1)  # so that each site's tokens come out ascending
+    tokens = cdf.searchsorted(uniforms, side="right")
+    # site * k + species ascends over the whole array; each run of one
+    # value is one species seen at one site.
+    tokens += np.arange(0, len(rngs) * k, k)[:, None]
+    tokens = tokens.ravel()
+    starts = np.flatnonzero(np.diff(tokens, prepend=-1))
+    counts = np.diff(starts, append=tokens.size)
+    sites, species = np.divmod(tokens[starts], k)
+    if detection < 1.0:
+        # binomial(0, p) draws nothing from the stream, so thinning only the
+        # counts seen draws what thinning the site's whole count vector does.
+        bounds = np.searchsorted(sites, np.arange(len(rngs) + 1))
+        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+            counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
+        seen = np.flatnonzero(counts)
+        sites, species, counts = sites[seen], species[seen], counts[seen]
+    return sites, species, counts
+
+
+def _multinomial_sites(
+    population: np.ndarray,
+    rngs: Iterable[np.random.Generator],
+    per_site_n: int,
+    detection: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(site, species, count) of every species seen, site by site and
+    species ascending: one multinomial draw per site."""
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
-    for site in range(m):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(site,))
-        )
-        draws = draw(rng)
+    for rng in rngs:
+        draws = rng.multinomial(per_site_n, population)
         if detection < 1.0:
             draws = rng.binomial(draws, detection)
         seen = np.flatnonzero(draws)
         species.append(seen)
         counts.append(draws[seen])
-    sites = np.repeat(np.arange(m), [len(seen) for seen in species])
-    columns = {
-        "sample_id": Column(
-            [f"site{site:0{site_width}d}" for site in range(1, m + 1)],
-            sites, -1),
-        "species_id": Column(_species_labels(k), np.concatenate(species), -1),
-    }
-    return Observations.of(columns, np.concatenate(counts),
-                           np.arange(1, len(sites) + 1))
+    sites = np.repeat(np.arange(len(species)), [len(seen) for seen in species])
+    return sites, np.concatenate(species), np.concatenate(counts)

@@ -324,6 +324,22 @@ def test_correlate_trend_without_band_writes_the_fit(tmp_path):
     assert all(lower == upper == "" for _, _, lower, upper in rows[1:])
 
 
+@pytest.mark.filterwarnings("always")  # as a fresh interpreter shows them
+def test_trend_replicate_warnings_are_one_line(tmp_path, capsys):
+    # Some of the 200 resamples of three points repeat one x; each such fit
+    # warns, and the warnings are reported once, counted.
+    path = tmp_path / "three.csv"
+    path.write_text(THREE_GENRES, encoding="utf-8")
+    assert run(["correlate", "--input", str(path), "--group-by", "genre",
+                "--output", str(tmp_path / "c.csv"),
+                "--trend-out", str(tmp_path / "t.csv"),
+                "--trend-degree", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"warning: \d+ of 200 trend replicates: "
+                        r"The fit may be poorly conditioned", err[0])
+
+
 def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -439,6 +455,12 @@ MALFORMED_FILES = {
                        "row 3: field larger than field limit"),
     "count-beyond-int64": (HEADER + f"m1,a,{2**63}\n", [],
                            "row 2: count 9223372036854775808 outside"),
+    "count-of-5000-digits": (HEADER + "m1,a," + "9" * 5000 + "\n", [],
+                             "row 2: count " + "9" * 40 + "... (5000 "
+                             "characters) outside the int64 range\n"),
+    "count-of-5000-letters": (HEADER + "m1,a," + "x" * 5000 + "\n", [],
+                              "row 2: non-integer count '" + "x" * 40
+                              + "'... (5000 characters)\n"),
     "count-with-underscore": (HEADER + "m1,a,1\nm1,b,1_000\n", [],
                               "row 3: non-integer count '1_000'"),
     "count-with-plus-sign": (HEADER + "m1,a,+3\n", [],

@@ -1,6 +1,7 @@
 import io as stdio
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from silentspecies.io import (
     write_records_csv,
     write_report_json,
 )
+from silentspecies.tally import Column
 
 
 def parse(text):
@@ -108,6 +110,27 @@ class TestReadRecords:
     def test_count_beyond_int64_names_row(self):
         with pytest.raises(SchemaError, match="row 3: count .* int64"):
             parse(f"sample_id,species_id,count\nm1,a,1\nm2,b,{2**63}\n")
+
+    @pytest.mark.parametrize("count, message", [
+        ("9" * 5000, "count " + "9" * 40 + "... (5000 characters) outside "
+         "the int64 range"),
+        ("0" * 30 + str(2**63), "count " + "0" * 30 + "9223372036... (49 "
+         "characters) "
+         "outside the int64 range"),
+        ("-" + "9" * 5000, "negative count -" + "9" * 39
+         + "... (5001 characters)"),
+        ("9" * 4999 + "x", "non-integer count '" + "9" * 40
+         + "'... (5000 characters)"),
+    ], ids=["digits", "zero-padded", "negative", "non-integer"])
+    def test_long_count_error_is_bounded(self, count, message):
+        with pytest.raises(SchemaError) as info:
+            parse(f"sample_id,species_id,count\nm1,a,{count}\n")
+        assert str(info.value) == "row 2: " + message
+
+    def test_zero_padded_count_in_range(self):
+        (record,) = parse("sample_id,species_id,count\nm1,a,"
+                          + "0" * 5000 + "7\n")
+        assert record.count == 7
 
     @pytest.mark.parametrize("meta", ["", "# tool: x\n# seed: 1\n"],
                              ids=["bare", "metadata"])
@@ -213,3 +236,57 @@ def assert_writes_like_per_record_rows(records):
         buf = stdio.StringIO(newline="")
         write_records_csv(written, buf, meta)
         assert buf.getvalue() == expected.getvalue()
+
+
+# Labels as a table built directly may hold them: unstripped, empty, or made
+# of pieces that need CSV quoting or look like a comment line.
+raw_labels = st.lists(
+    st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", "\r\n", "#", " ", "Smith, J."]),
+        st.text(max_size=2),
+    ),
+    max_size=4,
+).map("".join)
+
+
+def distinct(draw, labels):
+    """Distinct labels for a Column, and the empty label's code."""
+    labels = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    return labels, labels.index("") if "" in labels else -1
+
+
+@st.composite
+def long_tables(draw):
+    """An Observations table of 2-3 chunks: a drawn run of rows repeated."""
+    samples, sample_empty = distinct(draw, st.one_of(st.just(""), raw_labels))
+    species, species_empty = distinct(draw, raw_labels)
+    pattern = draw(st.lists(st.tuples(
+        st.integers(0, len(samples) - 1),
+        st.integers(0, len(species) - 1),
+        st.one_of(st.sampled_from([0, 1, 10**18]),
+                  st.integers(0, 10**18)),
+    ), min_size=1, max_size=20))
+    n = 2 * _CHUNK_ROWS + draw(st.integers(1, _CHUNK_ROWS))
+    sample_codes, species_codes, counts = np.resize(
+        np.array(pattern, dtype=np.int64), (n, 3)).T
+    return Observations.of(
+        {"sample_id": Column(samples, sample_codes, sample_empty),
+         "species_id": Column(species, species_codes, species_empty)},
+        counts, np.arange(1, n + 1))
+
+
+@given(long_tables())
+def test_records_writer_matches_table_rows(obs):
+    meta = metadata("cmd", seed=1)
+    sample, species = obs.column("sample_id"), obs.column("species_id")
+    expected = stdio.StringIO(newline="")
+    _write_table(expected, meta, LONG_COLUMNS, zip(
+        [sample.labels[c] for c in sample.codes],
+        [species.labels[c] for c in species.codes],
+        obs.counts.tolist(),
+    ))
+    buf = stdio.StringIO(newline="")
+    write_records_csv(obs, buf, meta)
+    # As lines: pytest reports the first differing line of a list, quickly.
+    assert (buf.getvalue().splitlines(keepends=True)
+            == expected.getvalue().splitlines(keepends=True))

@@ -89,6 +89,13 @@ class TestSample:
         probs = generate(PopulationSpec(30, "zipf", alpha=1.0))
         assert sample(probs, 500, seed=7) == sample(probs, 500, seed=7)
 
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 1.0], [-0.5, 1.5], [0.6, 0.6], [[0.5, 0.5]], [],
+    ], ids=["nan", "negative", "sum-1.2", "matrix", "empty"])
+    def test_invalid_population(self, probs):
+        with pytest.raises(InvalidSpec):
+            sample(np.array(probs), 5, 0)
+
 
 class TestSampleSites:
     def test_shapes_and_bounds(self):
@@ -141,7 +148,10 @@ class TestSampleSites:
     # can see; these tests feed such uniforms in directly.
     @staticmethod
     def species_drawn(monkeypatch, probs, uniforms):
-        fake = SimpleNamespace(random=lambda size: np.array(uniforms))
+        def random(out):
+            out[:] = uniforms
+
+        fake = SimpleNamespace(random=random)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
         table = sample_site_records(np.array(probs), 1, len(uniforms))
         return [r.species_id for r in table]
