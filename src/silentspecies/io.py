@@ -133,19 +133,18 @@ def _parse_count(row: int, text: str) -> int:
     """A count is ASCII digits; int() alone also takes "+3", "1_000" and
     non-ASCII digits. A bad count's error echoes at most _SHOWN characters
     of it, and then its length."""
-    negative = text.startswith("-")
-    digits = text[negative:]
+    digits = text.removeprefix("-")
     if digits.isascii() and digits.isdigit():
-        if negative and digits.strip("0"):
+        value = digits.lstrip("0") or "0"
+        if digits == text:
+            # Measured before int() is called: it refuses over 4,300 digits.
+            if (len(value) <= len(str(_INT64_MAX))
+                    and int(value) <= _INT64_MAX):
+                return int(value)
+            raise SchemaError(
+                f"row {row}: count {_shown(text)} outside the int64 range")
+        if value != "0":
             raise SchemaError(f"row {row}: negative count {_shown(text)}")
-        if not negative:
-            # Cut and measured first: int() refuses over 4,300 digits.
-            value = digits.lstrip("0") or "0"
-            if (len(value) > len(str(_INT64_MAX))
-                    or int(value) > _INT64_MAX):
-                raise SchemaError(
-                    f"row {row}: count {_shown(text)} outside the int64 range")
-            return int(value)
     _check_decoded(row, "'count'", text)
     raise SchemaError(f"row {row}: non-integer count {_shown(text, repr)}")
 

@@ -121,7 +121,7 @@ def sample_site_records(
     # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
     if 2 * per_site_n < k:
         sites, species, counts = _categorical_sites(
-            population, list(rngs), per_site_n, detection)
+            population, rngs, m, per_site_n, detection)
     else:
         sites, species, counts = _multinomial_sites(
             population, rngs, per_site_n, detection)
@@ -137,36 +137,39 @@ def sample_site_records(
 
 def _categorical_sites(
     population: np.ndarray,
-    rngs: list[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
+    m: int,
     per_site_n: int,
     detection: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
     species ascending: each site's per_site_n uniforms, drawn on its own
     generator, are looked up in the CDF in one batch for all sites."""
-    k = population.size
     # Divided by its last entry, which is then exactly 1, so no uniform in
     # [0, 1) falls past the last species. side="right": a uniform equal to a
     # CDF entry belongs to the next species, so a species of probability 0
     # is never drawn.
     cdf = np.cumsum(population)
     cdf /= cdf[-1]
-    uniforms = np.empty((len(rngs), per_site_n))
-    for rng, row in zip(rngs, uniforms):
-        rng.random(out=row)
+    if detection < 1.0:
+        rngs = list(rngs)  # each thins its own site after the lookup
+    uniforms = np.empty((m, per_site_n))
+    for site, rng in enumerate(rngs):
+        rng.random(out=uniforms[site])
     uniforms.sort(axis=1)  # so that each site's tokens come out ascending
-    tokens = cdf.searchsorted(uniforms, side="right")
-    # site * k + species ascends over the whole array; each run of one
-    # value is one species seen at one site.
-    tokens += np.arange(0, len(rngs) * k, k)[:, None]
-    tokens = tokens.ravel()
-    starts = np.flatnonzero(np.diff(tokens, prepend=-1))
+    tokens = cdf.searchsorted(uniforms, side="right").ravel()
+    del uniforms  # freed before the arrays below are made: peak memory
+    # Each run of one species within a site's tokens is one row.
+    first = np.empty(tokens.size, dtype=bool)
+    np.not_equal(tokens[1:], tokens[:-1], out=first[1:])
+    first[::per_site_n] = True
+    starts = np.flatnonzero(first)
+    sites, species = starts // per_site_n, tokens[starts]
     counts = np.diff(starts, append=tokens.size)
-    sites, species = np.divmod(tokens[starts], k)
     if detection < 1.0:
         # binomial(0, p) draws nothing from the stream, so thinning only the
         # counts seen draws what thinning the site's whole count vector does.
-        bounds = np.searchsorted(sites, np.arange(len(rngs) + 1))
+        bounds = np.searchsorted(sites, np.arange(m + 1))
         for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
             counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
         seen = np.flatnonzero(counts)
