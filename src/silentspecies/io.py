@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import asdict
-from itertools import chain, islice
+from dataclasses import asdict, astuple, fields
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -28,6 +28,7 @@ from .resampling import AccumulationPoint, BootstrapResult
 from .stats import RegressionResult, TrendFit
 from .tally import (
     _INT64_MAX,
+    _SHOWN,
     ABUNDANCE,
     Column,
     ObservationRecord,
@@ -38,7 +39,6 @@ from .version import __version__
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
 _CHUNK_ROWS = 1024
-_SHOWN = 40  # characters of a bad count quoted in its error
 # The characters that errors="surrogateescape" puts for undecodable bytes.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _LINE_BREAK = re.compile("\r\n|\r|\n")
@@ -193,27 +193,26 @@ def _write_table(
     written with repr, so they read back bit for bit."""
     for key, value in meta.items():
         f.write(f"# {key}: {_one_line(value)}\n")
-    # csv quotes a field only for the characters of its line terminator, so
-    # rows are formatted with CRLF, which gets a lone CR inside a field
-    # quoted, and written with LF. Rows are formatted a chunk at a time so
-    # that the rewrite is one replace per chunk unless a field holds a CR.
+    f.writelines(line + "\n" for line in _csv_lines(chain([header], rows)))
+
+
+def _csv_lines(rows: Iterable[Sequence[object]]) -> list[str]:
+    """Each row as one CSV line, without its terminator. csv quotes a field
+    only for the characters of its line terminator, so rows are formatted
+    with CRLF, which gets a lone CR inside a field quoted, and the CRLF is
+    then cut off."""
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append),
-                        lineterminator="\r\n")
-    writer.writerow(header)
-    rows = iter(rows)
-    while lines:
-        text = "".join(lines)
-        if text.count("\r") == len(lines):
-            f.write(text.replace("\r\n", "\n"))
-        else:
-            f.writelines(line[:-2] + "\n" for line in lines)
-        lines.clear()
-        writer.writerows(islice(rows, _CHUNK_ROWS))
+    csv.writer(SimpleNamespace(write=lines.append),
+               lineterminator="\r\n").writerows(rows)
+    return [line[:-2] for line in lines]
 
 
-def _fmt(value: float, places: int = 3) -> str:
-    return f"{value:.{places}f}"
+def _fmt(value: float) -> str:
+    return f"{value:.3f}"
+
+
+def _field_names(cls: type) -> list[str]:
+    return [field.name for field in fields(cls)]
 
 
 def write_records_csv(
@@ -248,11 +247,7 @@ def _leading_fields(labels: Sequence[str]) -> np.ndarray:
     by the csv rule, then its comma. A label alone in its row is written
     differently (an empty one as '""'), so each is formatted with an empty
     field after it."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append),
-                        lineterminator="\r\n")
-    writer.writerows((label, "") for label in labels)
-    return np.array([line[:-2] for line in lines], dtype=object)
+    return np.array(_csv_lines((label, "") for label in labels), dtype=object)
 
 
 def write_spectrum_csv(
@@ -261,38 +256,17 @@ def write_spectrum_csv(
     _write_table(f, meta, ("r", "f_r"), sorted(freqs.items()))
 
 
-_REPORT_FIELDS = (
-    "group_key",
-    "types",
-    "tokens_or_samples",
-    "ttr_or_str",
-    "f1",
-    "f2",
-    "coverage",
-    "s_hat",
-    "estimator_name",
-    "fallback",
-)
-
-
 def write_report_csv(
     rows: Sequence[GroupReportRow], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_table(f, meta, _REPORT_FIELDS, (
-        (
-            row.group_key,
-            row.types,
-            row.tokens_or_samples,
-            _fmt(row.ttr_or_str),
-            row.f1,
-            row.f2,
-            _fmt(row.coverage),
-            _fmt(row.s_hat),
-            row.estimator_name,
-            int(row.used_fallback),
-        )
-        for row in rows
-    ))
+    """A GroupReportRow's fields, floats to 3 places, then `fallback` as 0
+    or 1."""
+    _write_table(
+        f, meta, [*_field_names(GroupReportRow), "fallback"],
+        ([_fmt(value) if isinstance(value, float) else value
+          for value in astuple(row)] + [int(row.used_fallback)]
+         for row in rows),
+    )
 
 
 def _markdown_cell(text: str) -> str:
@@ -342,21 +316,15 @@ def write_report_json(
 def write_accumulation_csv(
     points: Sequence[AccumulationPoint], f: TextIO, meta: Mapping[str, str]
 ) -> None:
-    _write_table(
-        f, meta, ("k", "replicates", "mean_s_obs", "mean_s_hat", "sd_s_hat"),
-        ((p.k, p.replicates, p.mean_s_obs, p.mean_s_hat, p.sd_s_hat)
-         for p in points),
-    )
+    _write_table(f, meta, _field_names(AccumulationPoint), map(astuple, points))
 
 
 def write_bootstrap_csv(
     results: Mapping[str, BootstrapResult], f: TextIO, meta: Mapping[str, str]
 ) -> None:
     _write_table(
-        f, meta,
-        ("metric", "point", "lower", "upper", "level", "replicates", "seed"),
-        ((metric, r.point, r.lower, r.upper, r.level, r.replicates, r.seed)
-         for metric, r in sorted(results.items())),
+        f, meta, ["metric", *_field_names(BootstrapResult)],
+        ((metric, *astuple(r)) for metric, r in sorted(results.items())),
     )
 
 

@@ -15,6 +15,7 @@ once.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .errors import EmptyDataset, SchemaError
 ABUNDANCE = "abundance"
 INCIDENCE = "incidence"
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_SHOWN = 40  # characters of a bad count quoted in its error
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,21 @@ class Column(NamedTuple):
         return self.codes == self.empty
 
 
+def _shown_count(count: int) -> str:
+    """`count` for an error message as io shows a count's text: whole up to
+    _SHOWN characters, else its first _SHOWN characters and its length.
+    str() refuses an int of over 4,300 digits, so only those are formatted."""
+    sign = "-" if count < 0 else ""
+    n = abs(count)
+    digits = int(n.bit_length() * math.log10(2)) + 2  # n's digits, or 1-2 more
+    while digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    if len(sign) + digits <= _SHOWN:
+        return str(count)
+    head = n // 10 ** (digits - _SHOWN + len(sign))
+    return f"{sign}{head}... ({len(sign) + digits} characters)"
+
+
 @dataclass(frozen=True, eq=False)
 class Observations:
     """Observation records as columns: one interned Column (stripped labels)
@@ -92,9 +109,9 @@ class Observations:
         except OverflowError:
             i = next(i for i, c in enumerate(counts)
                      if not -_INT64_MAX - 1 <= c <= _INT64_MAX)
-            raise SchemaError(
-                f"row {rows[i]}: count {counts[i]} outside the int64 range"
-            ) from None
+            raise SchemaError(f"row {rows[i]}: count "
+                              f"{_shown_count(counts[i])} outside the int64 "
+                              "range") from None
         return cls(columns, count_array, np.asarray(rows, dtype=np.int64))
 
     @classmethod

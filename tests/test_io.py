@@ -1,3 +1,4 @@
+import csv
 import io as stdio
 import json
 
@@ -247,6 +248,29 @@ raw_labels = st.lists(
     ),
     max_size=4,
 ).map("".join)
+
+
+def field_text(value):
+    """A field as csv writes it: floats by repr, other values by str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@given(st.lists(st.lists(st.one_of(raw_labels, st.integers(), st.floats()),
+                         min_size=1, max_size=4),
+                min_size=1, max_size=6))
+def test_table_rows_read_back(table):
+    """csv itself reads back every row _write_table writes, and the only CRs
+    written are those inside the fields."""
+    header, *rows = table
+    meta = metadata("cmd", seed=1)
+    buf = stdio.StringIO(newline="")
+    _write_table(buf, meta, header, rows)
+    text = buf.getvalue()
+    data = text.split("\n", len(meta))[-1]
+    assert (list(csv.reader(stdio.StringIO(data, newline="")))
+            == [[field_text(value) for value in row] for row in table])
+    assert text.count("\r") == sum(value.count("\r") for row in table
+                                   for value in row if isinstance(value, str))
 
 
 def distinct(draw, labels):

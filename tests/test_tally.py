@@ -10,6 +10,7 @@ from silentspecies import (
     INCIDENCE,
     EmptyDataset,
     ObservationRecord,
+    Observations,
     SchemaError,
     group_by,
     spectrum,
@@ -56,6 +57,19 @@ class TestTallyAbundance:
     def test_negative_count_rejected(self):
         with pytest.raises(SchemaError, match="row 1"):
             tally_abundance([rec("m1", "a", -1)])
+
+    @pytest.mark.parametrize("count, message", [
+        (2**63, "count 9223372036854775808 outside the int64 range"),
+        (10**5000, "count 1" + "0" * 39 + "... (5001 characters) outside "
+         "the int64 range"),
+        (-(10**5000), "count -1" + "0" * 38 + "... (5002 characters) "
+         "outside the int64 range"),
+    ], ids=["int64-max-plus-1", "5001-digits", "negative-5001-digits"])
+    def test_count_beyond_int64_is_bounded(self, count, message):
+        records = [rec("m1", "a", 1), rec("m1", "b", count)]
+        with pytest.raises(SchemaError) as info:
+            Observations.from_records(records)
+        assert str(info.value) == f"row 2: {message}"
 
     def test_identifiers_trimmed_not_case_folded(self):
         t = tally_abundance([rec("m1", " a ", 1), rec("m1", "a", 1), rec("m1", "A", 1)])
