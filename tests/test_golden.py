@@ -64,6 +64,12 @@ CASES = {
          "--replicates", "50", "--seed", "5", "--output", "accumulate.csv"],
         ["accumulate.csv"],
     ),
+    "accumulate-dense": (  # 40 species in 20,000 tokens
+        ["accumulate", "--input", "abundance_dense.csv", "--sizes",
+         "30,300,12000", "--replicates", "50", "--seed", "6",
+         "--output", "accumulate_dense.csv"],
+        ["accumulate_dense.csv"],
+    ),
     "correlate": (
         ["correlate", "--input", "grouped.csv", "--group-by", "genre",
          "--trend-out", "trend.csv", "--trend-replicates", "50",
