@@ -203,7 +203,16 @@ def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
             raise
         for (_, emit), f in zip(outputs, files):
             if f is sys.stdout:
-                emit(f)
+                try:
+                    emit(f)
+                    f.flush()
+                except BrokenPipeError:
+                    # The reader stopped early, as `head` does: not an
+                    # error. Point stdout at devnull so that the flush at
+                    # exit does not fail again.
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, f.fileno())
+                    os.close(devnull)
                 continue
             with f:  # closed before the next output, which may be this file
                 if stat.S_ISREG(os.fstat(f.fileno()).st_mode):

@@ -85,11 +85,10 @@ def estimate(
 
 
 def _s_obs_f1_f2(counts: np.ndarray) -> tuple[int, int, int]:
-    """S_obs, f1 and f2 of a per-species count vector; a zero count is a
-    species not seen."""
-    seen = counts[counts > 0]
-    return (int(seen.size), int(np.count_nonzero(seen == 1)),
-            int(np.count_nonzero(seen == 2)))
+    """S_obs, f1 and f2 of a non-negative per-species count vector; a zero
+    count is a species not seen."""
+    return (int(np.count_nonzero(counts)), int(np.count_nonzero(counts == 1)),
+            int(np.count_nonzero(counts == 2)))
 
 
 def estimate_tally(

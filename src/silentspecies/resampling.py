@@ -25,6 +25,13 @@ THREADS_ENV = "SILENTSPECIES_THREADS"
 
 LOW_REPLICATE_THRESHOLD = 100
 
+# Generator.multivariate_hypergeometric's "marginals" method refuses a tally
+# of this many tokens or more, and "count" would need 8 bytes per token.
+MAX_ACCUMULATE_TOKENS = 10**9
+# The largest n the sampler rule was timed at; "count" is not chosen above
+# it, so its scratch stays within 16 MB per worker.
+COUNT_MAX_TOKENS = 2_000_000
+
 
 @dataclass(frozen=True)
 class AccumulationPoint:
@@ -96,6 +103,29 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
     return np.array(rows, dtype=np.float64)
 
 
+def _hypergeometric_method(n: int, species: int, k: int) -> str:
+    """The cheaper exact method of `Generator.multivariate_hypergeometric`
+    for drawing k of n tokens spread over `species` species.
+
+    "count" fills an n-word scratch array with each token's species, then
+    shuffles min(k, n - k) of its entries into place. "marginals" draws one
+    univariate hypergeometric per species. Fitted by least squares on the
+    per-draw times of both methods over n in 2,000-2,000,000, K in 20-200,000
+    and k from 0.2% to 98% of n, on zipf and uniform counts (numpy 2.4,
+    2-vCPU Xeon), in microseconds:
+
+        count      ~ 8 + 0.00044 n + 0.011 K + 0.022 min(k, n - k)
+        marginals  ~ 10 + 0.185 K
+
+    Rounded, "count" is cheaper when n + 50 min(k, n - k) < 400 K. On a
+    second grid of 126 (n, K, k) cells this rule picked the slower method
+    once, by 9%. "count" is not chosen for n above COUNT_MAX_TOKENS.
+    """
+    if n <= COUNT_MAX_TOKENS and n + 50 * min(k, n - k) < 400 * species:
+        return "count"
+    return "marginals"
+
+
 def accumulate(
     tally: Tally,
     sizes: Sequence[int],
@@ -105,7 +135,9 @@ def accumulate(
 ) -> list[AccumulationPoint]:
     """Accumulation curve: for each subsample size k, draw `replicates`
     subsamples of k tokens without replacement, re-estimate richness, and
-    average S_obs and S_hat over replicates.
+    average S_obs and S_hat over replicates. Each size draws by the cheaper
+    exact sampler for its n, K and k (`_hypergeometric_method`); a tally of
+    MAX_ACCUMULATE_TOKENS tokens or more raises InvalidSize.
     """
     if replicates < 1:
         raise InvalidSize(f"replicates must be >= 1, got {replicates}")
@@ -113,6 +145,9 @@ def accumulate(
         raise InvalidSize("sizes must name at least one subsample size")
     counts = _counts(tally)
     n = int(counts.sum())
+    if n >= MAX_ACCUMULATE_TOKENS:
+        raise InvalidSize(f"accumulate needs fewer than {MAX_ACCUMULATE_TOKENS:,}"
+                          f" tokens, got n={n:,}")
     for k in sizes:
         if k <= 0:
             raise InvalidSize(f"subsample size must be positive, got {k}")
@@ -121,8 +156,10 @@ def accumulate(
     workers = resolve_workers(threads)
     points: list[AccumulationPoint] = []
     for size_idx, k in enumerate(sizes):
+        method = _hypergeometric_method(n, counts.size, k)
         stacked = _replicates(
-            lambda rng, k=k: rng.multivariate_hypergeometric(counts, k),
+            lambda rng, k=k, method=method:
+                rng.multivariate_hypergeometric(counts, k, method=method),
             (size_idx,), seed, replicates, workers)
         s_obs_vals, s_hat_vals = stacked[:, 0], stacked[:, 1]
         sd = float(np.std(s_hat_vals, ddof=1)) if replicates > 1 else 0.0

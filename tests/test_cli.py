@@ -3,13 +3,30 @@ import json
 import os
 import re
 import select
+import subprocess
+import sys
 import threading
+import time
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
+import silentspecies
 from silentspecies import ObservationRecord
 from silentspecies.cli import run
+
+# About 400 KB of output, more than a pipe buffer holds.
+LARGE_SYNTH = ["synth", "--distribution", "zipf", "--species", "5000",
+               "--sites", "200", "--seed", "7"]
+
+
+def cli_process(argv, **popen):
+    """The CLI in a child process, importing this checkout's package."""
+    src = str(Path(silentspecies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "silentspecies.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path), **popen)
 
 
 @pytest.fixture
@@ -176,6 +193,51 @@ def test_synth_output_to_a_fifo_completes(tmp_path, capsys):
         return [line for line in text.splitlines() if not line.startswith("#")]
 
     assert data(got["text"]) == data(expected)
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # As `synth ... | head -2` does under `set -o pipefail`.
+    proc = cli_process(LARGE_SYNTH, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# tool: silentspecies")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reader_closing_an_output_fifo_early_is_an_error(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    proc = cli_process([*LARGE_SYNTH, "--output", str(fifo)],
+                       stderr=subprocess.PIPE)
+    try:
+        data, deadline = b"", time.monotonic() + 60
+        while not data and time.monotonic() < deadline:
+            select.select([fd], [], [], 1)
+            try:
+                data = os.read(fd, 100)
+            except BlockingIOError:
+                continue
+            if not data:  # the writer has not opened the pipe yet
+                time.sleep(0.01)
+        assert data.startswith(b"# tool: silentspecies")
+    finally:
+        os.close(fd)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith(b"error: BrokenPipeError") and err.count(b"\n") == 1
+
+
+def test_accumulate_rejects_a_billion_tokens(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("species_id,count\na,600000000\nb,500000000\n")
+    assert run(["accumulate", "--input", str(path), "--sizes", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: InvalidSize: accumulate needs fewer than "
+                            "1,000,000,000 tokens, got n=1,100,000,000\n")
+    assert captured.out == ""
 
 
 def test_library_warning_is_one_stderr_line(sessions_csv, capsys):

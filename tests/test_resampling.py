@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from silentspecies import (
@@ -12,7 +13,12 @@ from silentspecies import (
     estimate_tally,
     Tally,
 )
-from silentspecies.resampling import THREADS_ENV, resolve_workers
+from silentspecies import resampling
+from silentspecies.resampling import (
+    THREADS_ENV,
+    _hypergeometric_method,
+    resolve_workers,
+)
 from silentspecies.synth import PopulationSpec, generate, sample
 
 
@@ -38,10 +44,61 @@ def rarefied_richness(counts, k):
     return mean, variance
 
 
+def hypergeometric_moments(n, c, k):
+    """Mean, variance and fourth central moment of the number of the c
+    marked tokens among k drawn without replacement from n."""
+    p = c / n
+    variance = k * p * (1 - p) * (n - k) / (n - 1)
+    excess = ((n - 1) * n ** 2 * (n * (n + 1) - 6 * c * (n - c)
+                                  - 6 * k * (n - k))
+              + 6 * k * c * (n - c) * (n - k) * (5 * n - 6)) / (
+        k * c * (n - c) * (n - k) * (n - 2) * (n - 3))
+    return k * p, variance, variance ** 2 * (excess + 3)
+
+
 @pytest.fixture(scope="module")
 def zipf_tally():
     population = generate(PopulationSpec(200, "zipf", alpha=1.1))
     return sample(population, 5000, seed=13)
+
+
+# On zipf_tally (n = 5000, K = 198) these sizes draw by "count",
+# "marginals" and "count" (the oracle fixture checks this).
+ORACLE_SIZES = (250, 2000, 4500)
+ORACLE_REPLICATES = 400
+# Band on (replicate variance of S_obs) / (exact variance), fixed before the
+# test was run: over seeds 1000-1199, which no test uses, the ratio at these
+# sizes and replicates had SD 0.069-0.084; the band is 1 +/- 4 * 0.085.
+VARIANCE_BAND = (0.66, 1.34)
+
+
+@pytest.fixture(scope="module")
+def oracle(zipf_tally):
+    """accumulate over ORACLE_SIZES with `_replicates` spied on: per size,
+    the (s_obs, s_hat, coverage) rows and the count vectors drawn."""
+    n, species = zipf_tally.total, len(zipf_tally.counts)
+    methods = [_hypergeometric_method(n, species, k) for k in ORACLE_SIZES]
+    assert methods == ["count", "marginals", "count"]
+    original = resampling._replicates
+    calls = []
+
+    def spy(draw, *args, **kwargs):
+        draws = []
+
+        def recording(rng):
+            drawn = draw(rng)
+            draws.append(drawn)
+            return drawn
+
+        rows = original(recording, *args, **kwargs)
+        calls.append((rows, np.array(draws)))
+        return rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resampling, "_replicates", spy)
+        accumulate(zipf_tally, ORACLE_SIZES, ORACLE_REPLICATES, seed=23,
+                   threads=1)
+    return calls
 
 
 class TestAccumulate:
@@ -61,6 +118,14 @@ class TestAccumulate:
         with pytest.raises(InvalidSize):
             accumulate(zipf_tally, [0], replicates=1, seed=0)
 
+    def test_a_billion_tokens_rejected_before_any_draw(self, monkeypatch):
+        # numpy's "marginals" sampler refuses n >= 10**9.
+        monkeypatch.setattr(resampling, "_replicates", None)
+        tally = Tally({"a": 600_000_000, "b": 500_000_000}, 1_100_000_000,
+                      ABUNDANCE)
+        with pytest.raises(InvalidSize, match="fewer than 1,000,000,000"):
+            accumulate(tally, [10], replicates=1, seed=0)
+
     def test_deterministic_across_thread_counts(self, zipf_tally):
         kwargs = dict(sizes=[500, 2000], replicates=40, seed=99)
         serial = accumulate(zipf_tally, threads=1, **kwargs)
@@ -71,11 +136,44 @@ class TestAccumulate:
         # Within 4 Monte Carlo standard errors of E[S_k] at every k.
         replicates = 200
         counts = list(zipf_tally.counts.values())
-        points = accumulate(zipf_tally, [20, 250, 1000, 4000],
+        points = accumulate(zipf_tally, [20, 250, 1000, 2500, 4000],
                             replicates=replicates, seed=17)
         for p in points:
             mean, variance = rarefied_richness(counts, p.k)
             assert abs(p.mean_s_obs - mean) <= 4 * math.sqrt(variance / replicates)
+
+    def test_replicate_variance_matches_exact_variance(self, zipf_tally,
+                                                       oracle):
+        # Heck et al.'s exact variance; a draw with replacement spreads more.
+        counts = list(zipf_tally.counts.values())
+        for k, (rows, _) in zip(ORACLE_SIZES, oracle):
+            _, variance = rarefied_richness(counts, k)
+            ratio = np.var(rows[:, 0], ddof=1) / variance
+            assert VARIANCE_BAND[0] <= ratio <= VARIANCE_BAND[1], (k, ratio)
+
+    def test_species_counts_have_hypergeometric_moments(self, zipf_tally,
+                                                        oracle):
+        # A class of species holding c of the n tokens between them draws
+        # hypergeometrically: mean k p and variance k p (1 - p) (n - k) /
+        # (n - 1), p = c / n, the per-species form. Species of equal count
+        # are exchangeable, so each count class is pooled. Per species, the
+        # 2 x 594 comparisons at 4 SE failed on 17% of seeds 1000-1199; per
+        # class, the 2 x 153 failed on 1.5%. The replicate mean and variance
+        # of each class lie within 4 standard errors of the exact values.
+        counts = np.array(list(zipf_tally.counts.values()))
+        _, cls = np.unique(counts, return_inverse=True)
+        n, r = zipf_tally.total, ORACLE_REPLICATES
+        c = np.bincount(cls, weights=counts)
+        for k, (_, draws) in zip(ORACLE_SIZES, oracle):
+            assert draws.shape == (r, counts.size)
+            assert (draws.sum(axis=1) == k).all() and (draws <= counts).all()
+            pooled = np.array([np.bincount(cls, weights=row) for row in draws])
+            mean, variance, mu4 = hypergeometric_moments(n, c, k)
+            assert (abs(pooled.mean(axis=0) - mean)
+                    <= 4 * np.sqrt(variance / r)).all(), k
+            var_se = np.sqrt((mu4 - variance ** 2 * (r - 3) / (r - 1)) / r)
+            assert (abs(pooled.var(axis=0, ddof=1) - variance)
+                    <= 4 * var_se).all(), k
 
     def test_mean_observed_richness_grows_with_k(self, zipf_tally):
         points = accumulate(
