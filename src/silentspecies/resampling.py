@@ -27,10 +27,10 @@ LOW_REPLICATE_THRESHOLD = 100
 
 # Generator.multivariate_hypergeometric's "marginals" method refuses a tally
 # of this many tokens or more, and "count" would need 8 bytes per token.
-MAX_ACCUMULATE_TOKENS = 10**9
+_MAX_TOKENS = 10**9
 # The largest n the sampler rule was timed at; "count" is not chosen above
 # it, so its scratch stays within 16 MB per worker.
-COUNT_MAX_TOKENS = 2_000_000
+_COUNT_MAX_TOKENS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,9 @@ def _hypergeometric_method(n: int, species: int, k: int) -> str:
 
     Rounded, "count" is cheaper when n + 50 min(k, n - k) < 400 K. On a
     second grid of 126 (n, K, k) cells this rule picked the slower method
-    once, by 9%. "count" is not chosen for n above COUNT_MAX_TOKENS.
+    once, by 9%. "count" is not chosen for n above _COUNT_MAX_TOKENS.
     """
-    if n <= COUNT_MAX_TOKENS and n + 50 * min(k, n - k) < 400 * species:
+    if n <= _COUNT_MAX_TOKENS and n + 50 * min(k, n - k) < 400 * species:
         return "count"
     return "marginals"
 
@@ -137,7 +137,7 @@ def accumulate(
     subsamples of k tokens without replacement, re-estimate richness, and
     average S_obs and S_hat over replicates. Each size draws by the cheaper
     exact sampler for its n, K and k (`_hypergeometric_method`); a tally of
-    MAX_ACCUMULATE_TOKENS tokens or more raises InvalidSize.
+    10**9 tokens or more raises InvalidSize.
     """
     if replicates < 1:
         raise InvalidSize(f"replicates must be >= 1, got {replicates}")
@@ -145,9 +145,9 @@ def accumulate(
         raise InvalidSize("sizes must name at least one subsample size")
     counts = _counts(tally)
     n = int(counts.sum())
-    if n >= MAX_ACCUMULATE_TOKENS:
-        raise InvalidSize(f"accumulate needs fewer than {MAX_ACCUMULATE_TOKENS:,}"
-                          f" tokens, got n={n:,}")
+    if n >= _MAX_TOKENS:
+        raise InvalidSize(f"accumulate needs fewer than {_MAX_TOKENS:,} tokens,"
+                          f" got n={n:,}")
     for k in sizes:
         if k <= 0:
             raise InvalidSize(f"subsample size must be positive, got {k}")

@@ -185,6 +185,22 @@ class TestAccumulate:
             assert p.mean_s_hat >= p.mean_s_obs - 1e-9
 
 
+@pytest.mark.parametrize("n, species, k, method", [
+    # Per-draw times at n = 200,000 and K = 4,936 favour "count" up to
+    # k = 20,000 and "marginals" at k = 100,000.
+    (200_000, 4936, 1000, "count"),
+    (200_000, 4936, 20_000, "count"),
+    (200_000, 4936, 100_000, "marginals"),
+    (200_000, 4936, 195_000, "count"),  # the complement of 5,000
+    # Past 2,000,000 tokens, "count"'s scratch of one word per token is
+    # never chosen.
+    (2_000_000, 1_000_000, 10, "count"),
+    (2_000_001, 1_000_000, 10, "marginals"),
+])
+def test_sampler_rule(n, species, k, method):
+    assert _hypergeometric_method(n, species, k) == method
+
+
 class TestBootstrap:
     def test_single_species_interval_collapses(self):
         tally = Tally({"only": 50}, 50, ABUNDANCE)
