@@ -11,6 +11,7 @@ from silentspecies import (
     accumulate,
     bootstrap_ci,
     estimate_tally,
+    tally_incidence,
     Tally,
 )
 from silentspecies import resampling
@@ -19,7 +20,12 @@ from silentspecies.resampling import (
     _hypergeometric_method,
     resolve_workers,
 )
-from silentspecies.synth import PopulationSpec, generate, sample
+from silentspecies.synth import (
+    PopulationSpec,
+    generate,
+    sample,
+    sample_site_records,
+)
 
 
 def _absent(n, k, removed):
@@ -72,13 +78,9 @@ ORACLE_REPLICATES = 400
 VARIANCE_BAND = (0.66, 1.34)
 
 
-@pytest.fixture(scope="module")
-def oracle(zipf_tally):
-    """accumulate over ORACLE_SIZES with `_replicates` spied on: per size,
-    the (s_obs, s_hat, coverage) rows and the count vectors drawn."""
-    n, species = zipf_tally.total, len(zipf_tally.counts)
-    methods = [_hypergeometric_method(n, species, k) for k in ORACLE_SIZES]
-    assert methods == ["count", "marginals", "count"]
+def spy_replicates(call):
+    """Run `call()` with `_replicates` spied on; per `_replicates` call, the
+    (s_obs, s_hat, coverage) rows and the list of count vectors drawn."""
     original = resampling._replicates
     calls = []
 
@@ -91,14 +93,25 @@ def oracle(zipf_tally):
             return drawn
 
         rows = original(recording, *args, **kwargs)
-        calls.append((rows, np.array(draws)))
+        calls.append((rows, draws))
         return rows
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resampling, "_replicates", spy)
-        accumulate(zipf_tally, ORACLE_SIZES, ORACLE_REPLICATES, seed=23,
-                   threads=1)
+        call()
     return calls
+
+
+@pytest.fixture(scope="module")
+def oracle(zipf_tally):
+    """accumulate over ORACLE_SIZES with `_replicates` spied on: per size,
+    the (s_obs, s_hat, coverage) rows and the count vectors drawn."""
+    n, species = zipf_tally.total, len(zipf_tally.counts)
+    methods = [_hypergeometric_method(n, species, k) for k in ORACLE_SIZES]
+    assert methods == ["count", "marginals", "count"]
+    calls = spy_replicates(lambda: accumulate(
+        zipf_tally, ORACLE_SIZES, ORACLE_REPLICATES, seed=23, threads=1))
+    return [(rows, np.array(draws)) for rows, draws in calls]
 
 
 class TestAccumulate:
@@ -199,6 +212,138 @@ class TestAccumulate:
 ])
 def test_sampler_rule(n, species, k, method):
     assert _hypergeometric_method(n, species, k) == method
+
+
+BOOTSTRAP_REPLICATES = 400
+# (population, sites, tokens per site) of the incidence oracle's tallies:
+# each has 250-280 species of 5-15 distinct incidence counts, and 100-280
+# estimated unseen ones.
+INCIDENCE_SHAPES = {
+    "uniform": (PopulationSpec(400, "uniform"), 30, 15),
+    "zipf": (PopulationSpec(1000, "zipf", alpha=1.0), 40, 20),
+    "lognormal": (PopulationSpec(800, "lognormal", sigma=1.5, seed=3), 30, 20),
+}
+# Band on (replicate variance of S_obs) / (exact variance), fixed before the
+# test was run: over bootstrap seeds 1000-1199, which no test uses, the
+# ratio on these tallies had SD 0.063-0.075; the band is 1 +/- 4 * 0.075.
+INCIDENCE_VARIANCE_BAND = (0.70, 1.30)
+# (population, tokens) of the abundance oracle's tallies.
+ABUNDANCE_SHAPES = {
+    "uniform": (PopulationSpec(300, "uniform"), 600),
+    "zipf": (PopulationSpec(500, "zipf", alpha=1.0), 1500),
+    "lognormal": (PopulationSpec(400, "lognormal", sigma=1.5, seed=3), 1000),
+}
+
+
+def augmented(tally):
+    """The bootstrap population of a tally: its augmented probabilities
+    (observed species, then the estimated unseen ones)."""
+    point = estimate_tally(tally)
+    values = np.array(list(tally.counts.values()))
+    return resampling._augmented_probs(values, tally.total, point.f0_hat,
+                                       point.f1, point.f2)
+
+
+def presence_rates(tally):
+    """Per-sample presence rate of each species of an incidence tally's
+    bootstrap population: the augmented probabilities, scaled so that the
+    expected incidences total the tally's."""
+    values = np.array(list(tally.counts.values()))
+    return np.clip(augmented(tally) * values.sum() / tally.total, 0.0, 1.0)
+
+
+def incidence_moments(rates, m):
+    """Exact mean and variance of S_obs, Q1 and Q2 when each species is
+    present in each of m samples independently at its rate: the species
+    seen in at least one, exactly one and exactly two samples."""
+    p0 = [(1 - pi) ** m for pi in rates]
+    p1 = [m * pi * (1 - pi) ** (m - 1) for pi in rates]
+    p2 = [math.comb(m, 2) * pi ** 2 * (1 - pi) ** (m - 2) for pi in rates]
+    return {
+        "s_obs": (sum(1 - p for p in p0), sum(p * (1 - p) for p in p0)),
+        "q1": (sum(p1), sum(p * (1 - p) for p in p1)),
+        "q2": (sum(p2), sum(p * (1 - p) for p in p2)),
+    }
+
+
+def multinomial_moments(p, n):
+    """Exact mean and variance of S_obs and f1 of multinomial(n, p) counts,
+    each variance summing the pairwise covariances of the indicators."""
+    unseen = (1 - p) ** n
+    single = n * p * (1 - p) ** (n - 1)
+    rest = np.clip(1 - p[:, None] - p[None, :], 0.0, None)
+    both_unseen = rest ** n - np.outer(unseen, unseen)
+    both_single = (n * (n - 1) * np.outer(p, p) * rest ** (n - 2)
+                   - np.outer(single, single))
+    np.fill_diagonal(both_unseen, unseen * (1 - unseen))
+    np.fill_diagonal(both_single, single * (1 - single))
+    return {"s_obs": (float((1 - unseen).sum()), float(both_unseen.sum())),
+            "f1": (float(single.sum()), float(both_single.sum()))}
+
+
+def replicate_stats(draws):
+    """S_obs, f1 (Q1) and f2 (Q2) of each drawn count vector."""
+    return {"s_obs": np.array([np.count_nonzero(d) for d in draws]),
+            "q1": np.array([np.count_nonzero(d == 1) for d in draws]),
+            "q2": np.array([np.count_nonzero(d == 2) for d in draws])}
+
+
+def incidence_tally(shape):
+    spec, sites, per_site = INCIDENCE_SHAPES[shape]
+    return tally_incidence(sample_site_records(generate(spec), sites,
+                                               per_site, 1.0, seed=11))
+
+
+@pytest.fixture(scope="module", params=sorted(INCIDENCE_SHAPES))
+def incidence_oracle(request):
+    """An incidence tally, and the replicate rows and the count vectors of
+    its bootstrap (spied on `_replicates`)."""
+    tally = incidence_tally(request.param)
+    [(rows, draws)] = spy_replicates(lambda: bootstrap_ci(
+        tally, BOOTSTRAP_REPLICATES, 0.95, seed=29, threads=1))
+    return tally, rows, draws
+
+
+@pytest.fixture(scope="module", params=sorted(ABUNDANCE_SHAPES))
+def abundance_oracle(request):
+    spec, n = ABUNDANCE_SHAPES[request.param]
+    tally = sample(generate(spec), n, seed=11)
+    [(rows, draws)] = spy_replicates(lambda: bootstrap_ci(
+        tally, BOOTSTRAP_REPLICATES, 0.95, seed=31, threads=1))
+    return tally, rows, draws
+
+
+class TestBootstrapOracles:
+    def test_incidence_means_match_exact(self, incidence_oracle):
+        # Species are independent, so each count is a sum of independent
+        # indicators and its exact variance is sum P (1 - P).
+        tally, rows, draws = incidence_oracle
+        stats = replicate_stats(draws)
+        assert (stats["s_obs"] == rows[:, 0]).all()
+        exact = incidence_moments(presence_rates(tally), tally.total)
+        for name, (mean, variance) in exact.items():
+            assert abs(stats[name].mean() - mean) <= 4 * math.sqrt(
+                variance / BOOTSTRAP_REPLICATES), name
+
+    def test_incidence_variance_matches_exact(self, incidence_oracle):
+        tally, rows, _ = incidence_oracle
+        _, variance = incidence_moments(presence_rates(tally),
+                                        tally.total)["s_obs"]
+        ratio = np.var(rows[:, 0], ddof=1) / variance
+        low, high = INCIDENCE_VARIANCE_BAND
+        assert low <= ratio <= high, ratio
+
+    def test_abundance_means_match_exact(self, abundance_oracle):
+        # Draws without replacement, or from the unaugmented frequencies,
+        # see fewer species.
+        tally, rows, draws = abundance_oracle
+        stats = replicate_stats(draws)
+        assert (stats["s_obs"] == rows[:, 0]).all()
+        exact = multinomial_moments(augmented(tally), tally.total)
+        for name, key in (("s_obs", "s_obs"), ("f1", "q1")):
+            mean, variance = exact[name]
+            assert abs(stats[key].mean() - mean) <= 4 * math.sqrt(
+                variance / BOOTSTRAP_REPLICATES), name
 
 
 class TestBootstrap:
