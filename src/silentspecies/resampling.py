@@ -31,6 +31,9 @@ _MAX_TOKENS = 10**9
 # The largest n the sampler rule was timed at; "count" is not chosen above
 # it, so its scratch stays within 16 MB per worker.
 _COUNT_MAX_TOKENS = 2_000_000
+# Incidence counts of the species an incidence replicate sees: once, twice,
+# three or more times.
+_SEEN = np.array([1, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
                 correction: bool = False) -> np.ndarray:
     """replicates x (s_obs, s_hat, coverage) of the drawn count vectors, in
     replicate order. Replicate i draws on SeedSequence(seed, spawn_key=
-    (*key, i)), so no result depends on `workers`. A draw that sees no
+    (*key, i)), so no result depends on `workers`; with W > 1 workers,
+    worker w runs replicates w, w + W, ... as one task. A draw that sees no
     species (only tiny incidence resamples can) has s_hat 0, coverage 1."""
 
     def one(i: int) -> tuple[float, float, float]:
@@ -95,12 +99,17 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
         est = estimate(s_obs, f1, f2, mode, m, correction)
         return s_obs, est.s_hat, est.coverage
 
-    if workers <= 1 or replicates == 1:
-        rows = [one(i) for i in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(replicates)))
-    return np.array(rows, dtype=np.float64)
+    workers = min(workers, replicates)
+    if workers <= 1:
+        return np.array([one(i) for i in range(replicates)], dtype=np.float64)
+    rows = np.empty((replicates, 3), dtype=np.float64)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shares = pool.map(
+            lambda w: [one(i) for i in range(w, replicates, workers)],
+            range(workers))
+        for w, share in enumerate(shares):
+            rows[w::workers] = share
+    return rows
 
 
 def _hypergeometric_method(n: int, species: int, k: int) -> str:
@@ -181,30 +190,75 @@ def _sample_coverage(f1: int, f2: int, total: int) -> float:
     return 1.0 - (f1 / total) * adj
 
 
-def _augmented_probs(
-    values: np.ndarray, total: int, f0_hat: float, f1: int, f2: int
-) -> np.ndarray:
-    """Resampling probabilities over observed species plus the estimated
-    unseen ones.
+def _observed_weights(
+    values: np.ndarray, total: int, f1: int, f2: int
+) -> tuple[np.ndarray, float]:
+    """Detection-adjusted resampling weights of the observed species, and
+    the weight 1 - C_hat left to the unseen ones; not yet normalised.
 
     Resampling straight from the empirical frequencies loses singletons and
-    biases every replicate's richness below the plug-in estimate; appending
-    the estimated unseen species (with detection-adjusted probabilities for
-    the observed ones) removes that bias.
+    biases every replicate's richness below the plug-in estimate; giving the
+    estimated unseen species their share (and detection-adjusting the
+    observed ones) removes that bias.
     """
     rel = values / total
     c_hat = _sample_coverage(f1, f2, total)
-    f0 = int(round(f0_hat))
     undetected = rel * (1.0 - rel) ** total
     denom = float(undetected.sum())
     lam = (1.0 - c_hat) / denom if denom > 0 else 0.0
     p_obs = np.clip(rel * (1.0 - lam * (1.0 - rel) ** total), 0.0, None)
+    return p_obs, 1.0 - c_hat
+
+
+def _augmented_probs(
+    values: np.ndarray, total: int, f0_hat: float, f1: int, f2: int
+) -> np.ndarray:
+    """Resampling probabilities over the observed species, then round(f0_hat)
+    unseen ones sharing the unseen weight equally."""
+    p_obs, unseen = _observed_weights(values, total, f1, f2)
+    f0 = int(round(f0_hat))
     if f0 > 0:
-        p_unseen = np.full(f0, (1.0 - c_hat) / f0)
-        probs = np.concatenate([p_obs, p_unseen])
+        probs = np.concatenate([p_obs, np.full(f0, unseen / f0)])
     else:
         probs = p_obs
     return probs / probs.sum()
+
+
+def _presence_classes(
+    values: np.ndarray, m: int, f0_hat: float, f1: int, f2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The incidence bootstrap population as classes of species sharing a
+    per-sample presence rate: each class's size, and (classes x 4) its
+    probabilities of being seen in 0, 1, 2 and 3 or more of m samples.
+
+    The rates are the augmented probabilities (`_augmented_probs`), scaled
+    so that the expected incidences total the tally's. Observed species of
+    equal incidence count share a rate, and the round(f0_hat) unseen ones
+    share one, so no per-species vector of the unseen is built.
+    """
+    p_obs, unseen = _observed_weights(values, m, f1, f2)
+    f0 = int(round(f0_hat))
+    share = unseen / f0 if f0 > 0 else 0.0
+    scale = values.sum() / m / (p_obs.sum() + f0 * share)
+    rates, groups = np.unique(np.clip(p_obs * scale, 0.0, 1.0),
+                              return_counts=True)
+    if f0 > 0:
+        rates = np.append(rates, min(share * scale, 1.0))
+        groups = np.append(groups, f0)
+    return groups, _seen_probs(rates, m)
+
+
+def _seen_probs(rates: np.ndarray, m: int) -> np.ndarray:
+    """(rates x 4) Bin(m, rate) probabilities of 0, 1, 2 and 3 or more, for
+    m >= 1; the first three in closed form, the last their complement."""
+    miss = 1.0 - rates
+    probs = np.zeros((rates.size, 4))
+    probs[:, 0] = miss ** m
+    probs[:, 1] = m * rates * miss ** (m - 1)
+    if m >= 2:  # C(1, 2) = 0, and 0.0 ** -1 would be inf
+        probs[:, 2] = m * (m - 1) / 2 * rates ** 2 * miss ** (m - 2)
+    probs[:, 3] = np.clip(1.0 - probs[:, :3].sum(axis=1), 0.0, None)
+    return probs
 
 
 def bootstrap_ci(
@@ -219,10 +273,13 @@ def bootstrap_ci(
 
     Abundance tallies are resampled by drawing n tokens with replacement
     from the augmented assemblage (observed species plus the estimated
-    unseen ones). Incidence tallies redraw each species' presence across m
-    samples from its augmented per-sample rate; per-sample composition is
-    not retained in a tally, so cross-species correlation within samples is
-    not modelled.
+    unseen ones), on up to `threads` workers. Incidence tallies redraw each
+    species' presence across m samples from its augmented per-sample rate;
+    per-sample composition is not retained in a tally, so cross-species
+    correlation within samples is not modelled. The g species of a rate
+    class are i.i.d. Bin(m, rate), so a replicate draws, per class, how many
+    are seen in 0, 1, 2 and 3 or more samples (one multinomial of g), which
+    is all the estimate reads; it runs on the calling thread.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
@@ -238,21 +295,28 @@ def bootstrap_ci(
     values = _counts(tally)
     total = tally.total
     point = estimate_tally(tally, small_sample_correction)
-    probs = _augmented_probs(values, total, point.f0_hat, point.f1, point.f2)
-    incidence = tally.mode == INCIDENCE
-    if incidence:
-        # presence probability per (observed + unseen) species, scaled so
-        # expected total incidences match the augmented assemblage
-        presence = np.clip(probs * values.sum() / total, 0.0, 1.0)
+    workers = resolve_workers(threads)  # checks SILENTSPECIES_THREADS too
+    if tally.mode == INCIDENCE:
+        groups, classes = _presence_classes(values, total, point.f0_hat,
+                                            point.f1, point.f2)
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        if incidence:
-            return rng.binomial(total, presence)
-        return rng.multinomial(total, probs)
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            # The seen species' incidence counts, 3 standing for 3 or more.
+            seen = rng.multinomial(groups, classes)[:, 1:].sum(axis=0)
+            return np.repeat(_SEEN, seen)
 
-    stacked = _replicates(draw, (), seed, replicates,
-                          resolve_workers(threads), tally.mode, total,
-                          small_sample_correction)
+        # One class draw costs less than handing it to a pool: measured on
+        # 2 vCPUs, a 2-worker pool ran it at half the serial speed.
+        workers = 1
+    else:
+        probs = _augmented_probs(values, total, point.f0_hat, point.f1,
+                                 point.f2)
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            return rng.multinomial(total, probs)
+
+    stacked = _replicates(draw, (), seed, replicates, workers, tally.mode,
+                          total, small_sample_correction)
     alpha = (1.0 - level) / 2.0
 
     def interval(col: int, point_value: float) -> BootstrapResult:

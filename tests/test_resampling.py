@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,37 @@ def test_sampler_rule(n, species, k, method):
     assert _hypergeometric_method(n, species, k) == method
 
 
+@pytest.mark.parametrize("replicates", [1, 2, 5, 7])
+def test_replicate_rows_do_not_depend_on_workers(replicates):
+    # Called directly, because resolve_workers clamps to the CPU count.
+    probs = np.full(20, 0.05)
+
+    def draw(rng):
+        return rng.multinomial(30, probs)
+
+    rows = [resampling._replicates(draw, (3,), 11, replicates, workers)
+            for workers in (1, 2, 3, 4)]
+    for other in rows[1:]:
+        assert np.array_equal(other, rows[0])
+    seen = [np.count_nonzero(draw(np.random.default_rng(
+        np.random.SeedSequence(11, spawn_key=(3, i)))))
+        for i in range(replicates)]
+    assert rows[0][:, 0].tolist() == seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 200])
+def test_seen_probabilities_are_binomial(m):
+    # Rates 0 and 1 meet 0.0 ** 0 in P1 and, at m = 1, 0.0 ** -1 in P2.
+    rates = np.array([0.0, 1e-9, 0.3, 0.5, 1 - 1e-9, 1.0])
+    probs = resampling._seen_probs(rates, m)
+    assert np.isfinite(probs).all() and (probs >= 0).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+    for rate, row in zip(rates, probs):
+        exact = [math.comb(m, k) * rate ** k * (1 - rate) ** (m - k)
+                 if k <= m else 0.0 for k in range(3)]
+        assert row[:3] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
 BOOTSTRAP_REPLICATES = 400
 # (population, sites, tokens per site) of the incidence oracle's tallies:
 # each has 250-280 species of 5-15 distinct incidence counts, and 100-280
@@ -400,6 +432,20 @@ class TestBootstrap:
         res = bootstrap_ci(tally, replicates=200, level=0.95, seed=8)
         assert res["coverage"].lower <= res["coverage"].upper <= 1.0
         assert res["s_hat"].point >= 70
+
+    def test_many_unseen_incidence_species_stay_small(self):
+        # 3,000 singletons in 50 samples leave f0_hat = 4,498,500 unseen
+        # species; a vector of their rates and draws took 113 MB.
+        tally = Tally({f"s{i}": 1 for i in range(3000)}, 50, INCIDENCE)
+        assert estimate_tally(tally).f0_hat == 4_498_500
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="recommended"):
+                bootstrap_ci(tally, replicates=20, level=0.95, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_invalid_level(self, zipf_tally):
         with pytest.raises(ValueError):
