@@ -435,7 +435,7 @@ class TestBootstrap:
 
     def test_many_unseen_incidence_species_stay_small(self):
         # 3,000 singletons in 50 samples leave f0_hat = 4,498,500 unseen
-        # species; a vector of their rates and draws took 113 MB.
+        # species; a vector of their rates and draws would take over 100 MB.
         tally = Tally({f"s{i}": 1 for i in range(3000)}, 50, INCIDENCE)
         assert estimate_tally(tally).f0_hat == 4_498_500
         tracemalloc.start()
