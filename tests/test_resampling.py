@@ -1,4 +1,5 @@
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -338,11 +339,39 @@ def incidence_oracle(request):
 
 @pytest.fixture(scope="module", params=sorted(ABUNDANCE_SHAPES))
 def abundance_oracle(request):
+    """An abundance tally, the replicate rows and count vectors of its
+    bootstrap, and the intervals it returned."""
     spec, n = ABUNDANCE_SHAPES[request.param]
     tally = sample(generate(spec), n, seed=11)
-    [(rows, draws)] = spy_replicates(lambda: bootstrap_ci(
-        tally, BOOTSTRAP_REPLICATES, 0.95, seed=31, threads=1))
-    return tally, rows, draws
+    intervals = {}
+    [(rows, draws)] = spy_replicates(lambda: intervals.update(bootstrap_ci(
+        tally, BOOTSTRAP_REPLICATES, 0.95, seed=31, threads=1)))
+    return tally, rows, draws, intervals
+
+
+# Bands on bootstrap / analytic, fixed before the test was run: over
+# bootstrap seeds 2000-2199, which no test uses, on the ABUNDANCE_SHAPES
+# tallies at BOOTSTRAP_REPLICATES, the SD ratio had mean 0.875-1.348 and
+# SD 0.037-0.050 across the shapes, and the width ratio mean 0.841-1.290
+# and SD 0.044-0.064. Each band runs from the lowest shape mean - 4 SD to
+# the highest shape mean + 4 SD.
+SD_RATIO_BAND = (0.72, 1.55)
+WIDTH_RATIO_BAND = (0.66, 1.55)
+
+
+def chao1_variance(f1, f2):
+    """Chao's (1987) analytic variance of the Chao1 estimate."""
+    r = f1 / f2
+    return f2 * (0.5 * r ** 2 + r ** 3 + 0.25 * r ** 4)
+
+
+def log_normal_interval(s_obs, s_hat, variance, level):
+    """Chao et al.'s (2014) interval, taking T = S_hat - S_obs as
+    log-normal: [S_obs + T / K, S_obs + T * K]."""
+    t = s_hat - s_obs
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2)
+    k = math.exp(z * math.sqrt(math.log(1 + variance / t ** 2)))
+    return s_obs + t / k, s_obs + t * k
 
 
 class TestBootstrapOracles:
@@ -368,7 +397,7 @@ class TestBootstrapOracles:
     def test_abundance_means_match_exact(self, abundance_oracle):
         # Draws without replacement, or from the unaugmented frequencies,
         # see fewer species.
-        tally, rows, draws = abundance_oracle
+        tally, rows, draws, _ = abundance_oracle
         stats = replicate_stats(draws)
         assert (stats["s_obs"] == rows[:, 0]).all()
         exact = multinomial_moments(augmented(tally), tally.total)
@@ -376,6 +405,36 @@ class TestBootstrapOracles:
             mean, variance = exact[name]
             assert abs(stats[key].mean() - mean) <= 4 * math.sqrt(
                 variance / BOOTSTRAP_REPLICATES), name
+
+
+    def test_abundance_interval_width_matches_analytic(self, abundance_oracle):
+        """The replicate SD of s_hat against Chao's (1987) analytic SD,
+        and the percentile interval against the log-normal interval.
+
+        Chao (1987, Biometrics 43:783) derives
+        var = f2 [(f1/f2)^2 / 2 + (f1/f2)^3 + (f1/f2)^4 / 4] by the delta
+        method from the large-sample covariances of f1 and f2. Chao et al.
+        (2014, Ecol. Monogr. 84:45) build the interval from it by taking
+        T = S_hat - S_obs as log-normal: K = exp(z sqrt(ln(1 + var/T^2)))
+        and the interval is [S_obs + T/K, S_obs + T K]. The bootstrap and
+        the analytic variance estimate the same spread by different
+        approximations, so they agree only within the bands, which were
+        fixed from other seeds (see SD_RATIO_BAND). A draw without the
+        unseen species, or with half of them, falls below both bands on
+        some shape.
+        """
+        tally, rows, _, intervals = abundance_oracle
+        point = estimate_tally(tally)
+        assert point.f2 > 0 and point.estimator_name == "chao1"
+        variance = chao1_variance(point.f1, point.f2)
+        sd_ratio = np.std(rows[:, 1], ddof=1) / math.sqrt(variance)
+        assert SD_RATIO_BAND[0] <= sd_ratio <= SD_RATIO_BAND[1], sd_ratio
+        interval = intervals["s_hat"]
+        low, high = log_normal_interval(point.s_obs, point.s_hat, variance,
+                                        interval.level)
+        width_ratio = (interval.upper - interval.lower) / (high - low)
+        assert WIDTH_RATIO_BAND[0] <= width_ratio <= WIDTH_RATIO_BAND[1], \
+            width_ratio
 
 
 class TestBootstrap:

@@ -1,10 +1,12 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from silentspecies import (
     DegenerateVariance,
@@ -172,3 +174,133 @@ class TestPolyfit:
     def test_underdetermined(self):
         with pytest.raises(InsufficientPoints):
             polyfit([1.0, 2.0], [1.0, 2.0], degree=2)
+
+
+def reference_polyfit(x, y, degree, replicates, level=0.95, seed=42):
+    """The trend fit as it was computed through numpy's Polynomial class:
+    `Polynomial.fit(...).convert()` per fit, trailing zero coefficients
+    padded back, and `polyval` on the sorted distinct x per replicate.
+    Returns the coefficients, the band and the replicates' warning tally."""
+
+    def fit_coeffs(xs, ys):
+        coeffs = np.polynomial.Polynomial.fit(xs, ys, degree).convert().coef
+        return np.pad(coeffs, (0, degree + 1 - coeffs.size))
+
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coefficients = fit_coeffs(xa, ya)
+    grid = np.unique(xa)
+    curves = np.empty((replicates, grid.size))
+    warned = Counter()
+    for rep in range(replicates):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+        idx = rng.integers(0, xa.size, size=xa.size)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curves[rep] = np.polynomial.polynomial.polyval(
+                grid, fit_coeffs(xa[idx], ya[idx]))
+        warned.update({(w.category, str(w.message)) for w in caught})
+    alpha = (1.0 - level) / 2.0
+    band = np.column_stack([grid, np.quantile(curves, alpha, axis=0),
+                            np.quantile(curves, 1.0 - alpha, axis=0)])
+    return coefficients, band, warned
+
+
+def assert_same_bits(a, b):
+    """Equal as floats (NaN equal to NaN), and equal zeros carry one sign."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(a, b, equal_nan=True)
+    zero = a == 0.0
+    assert np.array_equal(np.signbit(a[zero]), np.signbit(b[zero]))
+
+
+@st.composite
+def trend_inputs(draw):
+    """x and y for a trend fit, with the shapes that stress the domain map
+    and the conversion: tied and all-equal x, year-valued x, tiny ranges,
+    and few distinct x, so that many resamples have at most `degree`
+    distinct values and fit rank-deficient; y that fits exactly, or so
+    near zero that the conversion's products come out as signed zeros."""
+    degree = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=max(3, degree + 1), max_value=60))
+    shape = draw(st.sampled_from(
+        ["spread", "tied", "all-equal", "years", "tiny-range", "few-distinct"]))
+    if shape == "spread":
+        xs = st.floats(min_value=-50, max_value=50)
+    elif shape == "tied":
+        xs = st.sampled_from([-2.0, 0.0, 0.5, 3.25, 7.0])
+    elif shape == "all-equal":
+        xs = st.just(draw(st.floats(min_value=-1e3, max_value=1e3)))
+    elif shape == "years":
+        xs = st.integers(min_value=1990, max_value=2010).map(float)
+    elif shape == "tiny-range":
+        base = draw(st.sampled_from([0.0, 1.0, 0.93, 1987.0]))
+        xs = st.integers(min_value=0, max_value=1000).map(
+            lambda k: base + k * 1e-9)
+    else:
+        values = draw(st.lists(st.floats(min_value=-10, max_value=10),
+                               min_size=1, max_size=degree, unique=True))
+        xs = st.sampled_from(values)
+    x = draw(st.lists(xs, min_size=n, max_size=n))
+    values = draw(st.sampled_from(["any", "constant", "signed-zeros"]))
+    if values == "any":
+        y = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                          min_size=n, max_size=n))
+    elif values == "constant":  # exact fits, so zero coefficients
+        y = [draw(st.sampled_from([0.0, 2.5]))] * n
+    else:  # fits whose products underflow to zeros of either sign
+        y = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-310, -1e-310, 1e-320,
+                                           -1e-320]), min_size=n, max_size=n))
+    return x, y, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(trend_inputs(), st.integers(min_value=1, max_value=25),
+       st.integers(min_value=0, max_value=2**32))
+def test_polyfit_matches_the_polynomial_class_bit_for_bit(inputs, replicates,
+                                                           seed):
+    x, y, degree = inputs
+    coefficients, band, warned = reference_polyfit(x, y, degree, replicates,
+                                                   seed=seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = polyfit(x, y, degree, bootstrap_replicates=replicates, seed=seed)
+    assert_same_bits(fit.coefficients, coefficients)
+    assert_same_bits(fit.band, band)
+    tally = [(category, f"{count} of {replicates} trend replicates: {message}")
+             for (category, message), count in warned.items()]
+    band_warnings = [(w.category, str(w.message)) for w in caught
+                     if "trend replicates" in str(w.message)]
+    assert sorted(band_warnings, key=str) == sorted(tally, key=str)
+
+
+def test_trailing_zero_coefficients_are_positive_zeros():
+    fit = polyfit([1.0, 2.0, 4.0, 5.0, 9.0], [0.0] * 5, degree=3)
+    assert fit.coefficients == (0.0, 0.0, 0.0, 0.0)
+    assert not np.signbit(fit.coefficients).any()
+
+
+# Inputs whose window fits have zero coefficients of either sign (found by
+# search): the conversion must give the zeros' signs as numpy's does.
+SIGNED_ZERO_FITS = [
+    ([5.0, 5.0, 11.0, 14.0, 11.0], [0.0, -0.0, 1e-320, 0.0, -1e-320], 1),
+    ([5.0, -2.0, -2.0, 3.0, -1.0, 5.0, 3.0],
+     [1e-310, 0.0, -0.0, 0.0, 0.0, -1e-310, -0.0], 2),
+    ([8.0, 5.0, 8.0, 5.0, 15.0, 12.0],
+     [1e-310, -0.0, -1e-310, -0.0, -0.0, 0.0], 3),
+    ([5.0, 13.0, 5.0, 14.0, 13.0, 15.0, 14.0, 15.0],
+     [0.0, -0.0, 0.0, 1e-320, -0.0, -1e-320, -1e-320, 1e-320], 4),
+]
+
+
+@pytest.mark.parametrize("x, y, degree", SIGNED_ZERO_FITS)
+def test_signed_zero_fits_convert_as_the_polynomial_class(x, y, degree):
+    coefficients, band, _ = reference_polyfit(x, y, degree, 20, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = polyfit(x, y, degree, bootstrap_replicates=20, seed=3)
+    assert_same_bits(fit.coefficients, coefficients)
+    assert_same_bits(fit.band, band)
