@@ -353,8 +353,8 @@ def write_trend_csv(
     computed."""
     grid = np.unique(np.asarray(xs, dtype=float)).tolist()
     band = fit.band or [(x, None, None) for x in grid]
+    fitted = fit.predict([x for x, _, _ in band]).tolist()
     _write_table(
         f, meta, ("x", "fit", "lower", "upper"),
-        ((x, float(fit.predict([x])[0]), lower, upper)
-         for x, lower, upper in band),
+        ((x, y, lower, upper) for (x, lower, upper), y in zip(band, fitted)),
     )

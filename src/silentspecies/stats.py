@@ -155,6 +155,70 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
                             p_value=p, n_points=n)
 
 
+def _fit_rows(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    degree: int,
+    warned: Counter[tuple[type[Warning], str]] | None = None,
+) -> np.ndarray:
+    """Least-squares fit of each row of ys on the same row of xs.
+
+    Returns coefficients in x, ascending, one row per fit, bit for bit as
+    `Polynomial.fit(x, y, degree).convert().coef` gives them, padded with
+    +0.0 to degree + 1. With `warned`, each row's warnings are counted in
+    it, once per (category, message), instead of being raised.
+
+    Like Polynomial.fit, each row's domain [min, max], widened by 1 each
+    way when it is one point, is mapped onto [-1, 1] and solved there by
+    numpy's `polyfit`. convert() then runs Horner's rule over that series
+    with x replaced by the line [off, scl], multiplying by `np.convolve`.
+    Each convolution term is a sum of at most two products accumulated
+    from +0.0, so no term is -0.0. numpy's trimming of trailing zeros
+    after each step therefore changes no sum, and its padding is the +0.0
+    computed here.
+    """
+    lo = xs.min(axis=1)
+    hi = xs.max(axis=1)
+    tied = lo == hi
+    lo = np.where(tied, lo - 1, lo)
+    hi = np.where(tied, hi + 1, hi)
+    # numpy's mapparms from [lo, hi] to [-1, 1], operation for operation
+    span = hi - lo
+    off = ((hi * -1.0 - lo * 1.0) / span)[:, None]
+    scl = (2.0 / span)[:, None]
+    u = off + scl * xs
+    solve = np.polynomial.polynomial.polyfit
+    fits = np.empty((xs.shape[0], degree + 1))
+    if warned is None:
+        for row in range(xs.shape[0]):
+            fits[row] = solve(u[row], ys[row], degree)
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for row in range(xs.shape[0]):
+                fits[row] = solve(u[row], ys[row], degree)
+                warned.update({(w.category, str(w.message)) for w in caught})
+                caught.clear()
+    coefficients = np.zeros_like(fits)
+    coefficients[:, 0] = fits[:, -1]
+    for i in range(2, degree + 2):
+        step = coefficients * off
+        step[:, 1:] += coefficients[:, :-1] * scl
+        step += 0.0
+        step[:, 0] += fits[:, -i]
+        coefficients = step
+    return coefficients
+
+
+def _evaluate(coefficients: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients at every grid point, by Horner's
+    rule as `polyval` runs it."""
+    curves = coefficients[:, -1:] + grid * 0
+    for i in range(2, coefficients.shape[1] + 1):
+        curves = coefficients[:, -i, None] + curves * grid
+    return curves
+
+
 def polyfit(
     x: Sequence[float],
     y: Sequence[float],
@@ -182,33 +246,20 @@ def polyfit(
             f"degree {degree} fit needs {degree + 1} points, got {xa.size}"
         )
 
-    def fit_coeffs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        poly = np.polynomial.Polynomial.fit(xs, ys, degree)
-        coeffs = poly.convert().coef
-        if coeffs.size < degree + 1:  # trailing zero coefficients trimmed
-            coeffs = np.pad(coeffs, (0, degree + 1 - coeffs.size))
-        return coeffs
-
-    coefficients = fit_coeffs(xa, ya)
+    coefficients = _fit_rows(xa[None], ya[None], degree)[0]
 
     band = None
     if bootstrap_replicates > 0:
         grid = np.unique(xa)
-        curves = np.empty((bootstrap_replicates, grid.size))
+        idx = np.stack([
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+            ).integers(0, xa.size, size=xa.size)
+            for rep in range(bootstrap_replicates)
+        ])
         # (category, message) -> the number of replicates that warned so
         warned: Counter[tuple[type[Warning], str]] = Counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for rep in range(bootstrap_replicates):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-                )
-                idx = rng.integers(0, xa.size, size=xa.size)
-                curves[rep] = np.polynomial.polynomial.polyval(
-                    grid, fit_coeffs(xa[idx], ya[idx])
-                )
-                warned.update({(w.category, str(w.message)) for w in caught})
-                caught.clear()
+        curves = _evaluate(_fit_rows(xa[idx], ya[idx], degree, warned), grid)
         for (category, message), count in warned.items():
             warnings.warn(f"{count} of {bootstrap_replicates} trend "
                           f"replicates: {message}", category, stacklevel=2)
