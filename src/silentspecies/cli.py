@@ -48,14 +48,20 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                      help="read input CSV from standard input")
 
 
-def _non_negative(text: str) -> int:
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a non-negative integer, got {text!r}")
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a {kind} integer, got {text!r}")
+    return parse
+
+
+_non_negative = _int_at_least(0, "non-negative")
+_positive = _int_at_least(1, "positive")
 
 
 def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
@@ -130,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", choices=["coverage", "s_hat"], default="coverage")
     p.add_argument("--correction", action="store_true")
     p.add_argument("--trend-out", help="also write an x,fit,lower,upper trend CSV")
-    p.add_argument("--trend-degree", type=int, default=2)
+    p.add_argument("--trend-degree", type=_positive, default=2)
     p.add_argument("--trend-replicates", type=_non_negative, default=200,
                    help="bootstrap replicates for the trend band; 0 for none")
 

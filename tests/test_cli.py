@@ -469,6 +469,13 @@ BOUNDARY_CASES = {
         ["correlate", "--input", "sessions.csv", "--group-by", "genre",
          "--trend-out", "trend.csv", "--trend-replicates", "-5"], {}, 2,
         "argument --trend-replicates"),
+    "zero-trend-degree": (
+        ["correlate", "--input", "sessions.csv", "--group-by", "genre",
+         "--trend-out", "trend.csv", "--trend-degree", "0"], {}, 2,
+        "argument --trend-degree"),
+    "negative-trend-degree": (
+        ["correlate", "--input", "sessions.csv", "--group-by", "genre",
+         "--trend-degree", "-1"], {}, 2, "argument --trend-degree"),
 }
 
 
