@@ -48,7 +48,7 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                      help="read input CSV from standard input")
 
 
-def _int_at_least(low: int, kind: str):
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             if int(text) >= low:

@@ -161,21 +161,18 @@ def _fit_rows(
     degree: int,
     warned: Counter[tuple[type[Warning], str]] | None = None,
 ) -> np.ndarray:
-    """Least-squares fit of each row of ys on the same row of xs.
+    """Least-squares fit of each row of ys on the same row of xs: ascending
+    coefficients in x, one row per fit, bit for bit those of
+    `Polynomial.fit(x, y, degree).convert().coef` padded with +0.0. With
+    `warned`, each row's warnings are counted there, once per (category,
+    message), instead of being raised.
 
-    Returns coefficients in x, ascending, one row per fit, bit for bit as
-    `Polynomial.fit(x, y, degree).convert().coef` gives them, padded with
-    +0.0 to degree + 1. With `warned`, each row's warnings are counted in
-    it, once per (category, message), instead of being raised.
-
-    Like Polynomial.fit, each row's domain [min, max], widened by 1 each
-    way when it is one point, is mapped onto [-1, 1] and solved there by
-    numpy's `polyfit`. convert() then runs Horner's rule over that series
-    with x replaced by the line [off, scl], multiplying by `np.convolve`.
-    Each convolution term is a sum of at most two products accumulated
-    from +0.0, so no term is -0.0. numpy's trimming of trailing zeros
-    after each step therefore changes no sum, and its padding is the +0.0
-    computed here.
+    Like Polynomial.fit, each row's domain [min, max] (widened by 1 each way
+    when it is one point) is mapped onto [-1, 1] and solved there. Like
+    convert(), Horner's rule then substitutes the line [off, scl] for x,
+    each term a sum of at most two products started from +0.0 as
+    `np.convolve` sums them. No term is then -0.0, so numpy's trimming of
+    trailing zeros changes no value and need not be repeated.
     """
     lo = xs.min(axis=1)
     hi = xs.max(axis=1)
@@ -204,7 +201,7 @@ def _fit_rows(
     for i in range(2, degree + 2):
         step = coefficients * off
         step[:, 1:] += coefficients[:, :-1] * scl
-        step += 0.0
+        step += 0.0  # np.convolve's sums start from +0.0
         step[:, 0] += fits[:, -i]
         coefficients = step
     return coefficients
