@@ -159,20 +159,15 @@ def _fit_rows(
     xs: np.ndarray,
     ys: np.ndarray,
     degree: int,
-    warned: Counter[tuple[type[Warning], str]] | None = None,
-) -> np.ndarray:
-    """Least-squares fit of each row of ys on the same row of xs: ascending
-    coefficients in x, one row per fit, bit for bit those of
-    `Polynomial.fit(x, y, degree).convert().coef` padded with +0.0. With
-    `warned`, each row's warnings are counted there, once per (category,
-    message), instead of being raised.
+    row_warnings: list[set[tuple[type[Warning], str]]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of each row of ys on the same row of xs, in the
+    mapped variable: ascending coefficients, one row per fit, and each
+    row's map (off, scl) onto it. With `row_warnings`, each row's solver
+    warnings are collected in its set instead of being raised.
 
     Like Polynomial.fit, each row's domain [min, max] (widened by 1 each way
-    when it is one point) is mapped onto [-1, 1] and solved there. Like
-    convert(), Horner's rule then substitutes the line [off, scl] for x,
-    each term a sum of at most two products started from +0.0 as
-    `np.convolve` sums them. No term is then -0.0, so numpy's trimming of
-    trailing zeros changes no value and need not be repeated.
+    when it is one point) is mapped onto [-1, 1] and solved there.
     """
     lo = xs.min(axis=1)
     hi = xs.max(axis=1)
@@ -186,7 +181,7 @@ def _fit_rows(
     u = off + scl * xs
     solve = np.polynomial.polynomial.polyfit
     fits = np.empty((xs.shape[0], degree + 1))
-    if warned is None:
+    if row_warnings is None:
         for row in range(xs.shape[0]):
             fits[row] = solve(u[row], ys[row], degree)
     else:
@@ -194,13 +189,30 @@ def _fit_rows(
             warnings.simplefilter("always")
             for row in range(xs.shape[0]):
                 fits[row] = solve(u[row], ys[row], degree)
-                warned.update({(w.category, str(w.message)) for w in caught})
+                row_warnings[row].update(
+                    (w.category, str(w.message)) for w in caught)
                 caught.clear()
+    return fits, off, scl
+
+
+def _convert(fits: np.ndarray, off: np.ndarray, scl: np.ndarray) -> np.ndarray:
+    """Each row of mapped-variable coefficients in the original x, bit for
+    bit `Polynomial.convert().coef` padded with +0.0.
+
+    Like convert(), Horner's rule substitutes the line [off, scl] for the
+    mapped variable, each term a sum of at most two products started from
+    +0.0 as `np.convolve` sums them. No term is then -0.0, so numpy's
+    trimming of trailing zeros changes no value and need not be repeated.
+    np.convolve raises no floating-point warnings, so the products raise
+    none here either; only the addition of each coefficient does.
+    """
+    degree = fits.shape[1] - 1
     coefficients = np.zeros_like(fits)
     coefficients[:, 0] = fits[:, -1]
     for i in range(2, degree + 2):
-        step = coefficients * off
-        step[:, 1:] += coefficients[:, :-1] * scl
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = coefficients * off
+            step[:, 1:] += coefficients[:, :-1] * scl
         step += 0.0  # np.convolve's sums start from +0.0
         step[:, 0] += fits[:, -i]
         coefficients = step
@@ -243,7 +255,7 @@ def polyfit(
             f"degree {degree} fit needs {degree + 1} points, got {xa.size}"
         )
 
-    coefficients = _fit_rows(xa[None], ya[None], degree)[0]
+    coefficients = _convert(*_fit_rows(xa[None], ya[None], degree))[0]
 
     band = None
     if bootstrap_replicates > 0:
@@ -254,9 +266,23 @@ def polyfit(
             ).integers(0, xa.size, size=xa.size)
             for rep in range(bootstrap_replicates)
         ])
-        # (category, message) -> the number of replicates that warned so
-        warned: Counter[tuple[type[Warning], str]] = Counter()
-        curves = _evaluate(_fit_rows(xa[idx], ya[idx], degree, warned), grid)
+        # each replicate's warnings, as (category, message)
+        row_warnings = [set() for _ in range(bootstrap_replicates)]
+        fits, off, scl = _fit_rows(xa[idx], ya[idx], degree, row_warnings)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curves = _evaluate(_convert(fits, off, scl), grid)
+        # An overflow or invalid operation in the conversion or evaluation
+        # leaves an inf or NaN that reaches every point of its replicate's
+        # curve. Those replicates alone are run again, one at a time, so
+        # that their warnings are counted per replicate.
+        for row in np.flatnonzero(~np.isfinite(curves).all(axis=1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                one = slice(row, row + 1)
+                _evaluate(_convert(fits[one], off[one], scl[one]), grid)
+            row_warnings[row].update(
+                (w.category, str(w.message)) for w in caught)
+        warned = Counter(w for ws in row_warnings for w in ws)
         for (category, message), count in warned.items():
             warnings.warn(f"{count} of {bootstrap_replicates} trend "
                           f"replicates: {message}", category, stacklevel=2)
