@@ -4,34 +4,17 @@ total, and per-group diversity/coverage correlation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from .choices import GroupReportRow
 from .errors import EmptyDataset
 from .estimators import diversity_proxies, estimate_tally
-from .stats import RegressionResult, pearson
 from .tally import GroupedDataset, Tally
 
+if TYPE_CHECKING:
+    from .stats import RegressionResult
+
 TOTAL_KEY = "Total"
-
-
-@dataclass(frozen=True)
-class GroupReportRow:
-    """One table row: a group's diversity proxies and richness estimate."""
-
-    group_key: str
-    types: int
-    tokens_or_samples: int
-    ttr_or_str: float
-    f1: int
-    f2: int
-    coverage: float
-    s_hat: float
-    estimator_name: str
-
-    @property
-    def used_fallback(self) -> bool:
-        return self.estimator_name.endswith("-bc")
 
 
 def merge_tallies(tallies: Sequence[Tally]) -> Tally:
@@ -115,5 +98,7 @@ def per_group_correlation(
 ) -> RegressionResult:
     """Pearson correlation of a per-group diversity proxy against per-group
     coverage (or richness)."""
+    from .stats import pearson
+
     xs, ys = group_xy(dataset, x, y, small_sample_correction)
     return pearson(xs, ys)

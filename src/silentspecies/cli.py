@@ -7,6 +7,9 @@ line, and the seed, so any published run can be repeated byte for byte.
 
 Exit codes: 0 success, 1 data error (one-line diagnostic on stderr),
 2 usage error.
+
+The parser needs no numpy: each handler imports the layers it runs, so
+`--version`, `--help` and usage errors start without loading them.
 """
 
 from __future__ import annotations
@@ -20,25 +23,23 @@ import warnings
 from contextlib import ExitStack
 from dataclasses import fields
 from io import TextIOWrapper
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from . import analysis, io, resampling, synth
-from .errors import SilentSpeciesError
-from .stats import pearson, polyfit
-from .tally import (
+from .choices import (
     ABUNDANCE,
+    DISTRIBUTIONS,
     INCIDENCE,
-    Column,
-    Observations,
-    group_by,
-    spectrum,
-    tally_abundance,
-    tally_records,
+    UNIFORM,
+    GroupReportRow,
 )
+from .errors import SilentSpeciesError
 from .version import __version__
 
+if TYPE_CHECKING:
+    from .tally import Observations
+
 DEFAULT_SEED = 42
-_SORT_COLUMNS = [f.name for f in fields(analysis.GroupReportRow)]
+_SORT_COLUMNS = [f.name for f in fields(GroupReportRow)]
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -141,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates for the trend band; 0 for none")
 
     p = sub.add_parser("synth", help="generate synthetic long-format CSV")
-    p.add_argument("--distribution", choices=list(synth.DISTRIBUTIONS),
-                   default=synth.UNIFORM)
+    p.add_argument("--distribution", choices=list(DISTRIBUTIONS),
+                   default=UNIFORM)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--species", type=int, required=True)
@@ -165,6 +166,8 @@ _DECODING = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
 
 
 def _read_records(args: argparse.Namespace) -> Observations:
+    from . import io
+
     if not args.stdin:
         with open(args.input, **_DECODING) as f:
             return io.read_records(f)
@@ -231,6 +234,9 @@ def _command_string(argv: Sequence[str]) -> str:
 
 
 def _estimate_rows(args: argparse.Namespace, records: Observations):
+    from . import analysis
+    from .tally import group_by, tally_records
+
     if args.group_by:
         dataset = group_by(records, args.group_by, args.mode)
         return analysis.report(
@@ -244,11 +250,16 @@ def _estimate_rows(args: argparse.Namespace, records: Observations):
 
 
 def _cmd_tally(args, meta) -> None:
+    from . import io
+    from .tally import spectrum, tally_records
+
     spec = spectrum(tally_records(_read_records(args), args.mode))
     _write((args.output, lambda f: io.write_spectrum_csv(spec, f, meta)))
 
 
 def _cmd_estimate(args, meta) -> None:
+    from . import io
+
     rows = _estimate_rows(args, _read_records(args))
     meta = {**meta, "estimator": rows[-1].estimator_name}
     group_label = args.group_by or "Group"
@@ -265,6 +276,9 @@ def _cmd_estimate(args, meta) -> None:
 
 
 def _cmd_accumulate(args, meta) -> None:
+    from . import io, resampling
+    from .tally import tally_abundance
+
     tally = tally_abundance(_read_records(args))
     points = resampling.accumulate(tally, args.sizes, args.replicates,
                                    args.seed)
@@ -273,6 +287,9 @@ def _cmd_accumulate(args, meta) -> None:
 
 
 def _cmd_bootstrap(args, meta) -> None:
+    from . import io, resampling
+    from .tally import tally_records
+
     tally = tally_records(_read_records(args), args.mode)
     results = resampling.bootstrap_ci(
         tally,
@@ -285,6 +302,10 @@ def _cmd_bootstrap(args, meta) -> None:
 
 
 def _cmd_correlate(args, meta) -> None:
+    from . import analysis, io
+    from .stats import pearson, polyfit
+    from .tally import group_by
+
     dataset = group_by(_read_records(args), args.group_by, args.mode)
     xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
     result = pearson(xs, ys)
@@ -302,6 +323,9 @@ def _cmd_correlate(args, meta) -> None:
 
 
 def _cmd_synth(args, meta) -> None:
+    from . import io, synth
+    from .tally import Column, Observations
+
     spec = synth.PopulationSpec(
         s_true=args.species,
         distribution=args.distribution,
@@ -353,6 +377,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from . import io
+
     meta = io.metadata(
         command=_command_string(argv),
         seed=getattr(args, "seed", DEFAULT_SEED),
@@ -363,6 +389,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             _HANDLERS[args.command](args, meta)
         except (SilentSpeciesError, OSError, ValueError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # numpy raises a private subclass
+            print(f"error: MemoryError: {exc}", file=sys.stderr)
             return 1
     return 0
 

@@ -13,19 +13,16 @@ runs can be reproduced byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import asdict, astuple, fields
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import GroupReportRow
+from .choices import GroupReportRow
 from .errors import SchemaError
-from .resampling import AccumulationPoint, BootstrapResult
-from .stats import RegressionResult, TrendFit
 from .tally import (
     _INT64_MAX,
     _SHOWN,
@@ -36,6 +33,10 @@ from .tally import (
     _observations,
 )
 from .version import __version__
+
+if TYPE_CHECKING:
+    from .resampling import AccumulationPoint, BootstrapResult
+    from .stats import RegressionResult, TrendFit
 
 LONG_COLUMNS = ("sample_id", "species_id", "count")
 _CHUNK_ROWS = 1024
@@ -303,6 +304,8 @@ def write_report_markdown(
 def write_report_json(
     rows: Sequence[GroupReportRow], f: TextIO, meta: Mapping[str, str]
 ) -> None:
+    import json
+
     payload = {
         "meta": dict(meta),
         "rows": [
@@ -316,12 +319,16 @@ def write_report_json(
 def write_accumulation_csv(
     points: Sequence[AccumulationPoint], f: TextIO, meta: Mapping[str, str]
 ) -> None:
+    from .resampling import AccumulationPoint
+
     _write_table(f, meta, _field_names(AccumulationPoint), map(astuple, points))
 
 
 def write_bootstrap_csv(
     results: Mapping[str, BootstrapResult], f: TextIO, meta: Mapping[str, str]
 ) -> None:
+    from .resampling import BootstrapResult
+
     _write_table(
         f, meta, ["metric", *_field_names(BootstrapResult)],
         ((metric, *astuple(r)) for metric, r in sorted(results.items())),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,7 +87,9 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
     replicate order. Replicate i draws on SeedSequence(seed, spawn_key=
     (*key, i)), so no result depends on `workers`; with W > 1 workers,
     worker w runs replicates w, w + W, ... as one task. A draw that sees no
-    species (only tiny incidence resamples can) has s_hat 0, coverage 1."""
+    species (only tiny incidence resamples can) has s_hat 0, coverage 1.
+    The result array is allocated before any draw, so a count of replicates
+    too large for memory raises MemoryError at once."""
 
     def one(i: int) -> tuple[float, float, float]:
         rng = np.random.default_rng(
@@ -99,10 +100,14 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
         est = estimate(s_obs, f1, f2, mode, m, correction)
         return s_obs, est.s_hat, est.coverage
 
+    rows = np.empty((replicates, 3), dtype=np.float64)
     workers = min(workers, replicates)
     if workers <= 1:
-        return np.array([one(i) for i in range(replicates)], dtype=np.float64)
-    rows = np.empty((replicates, 3), dtype=np.float64)
+        for i in range(replicates):
+            rows[i] = one(i)
+        return rows
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         shares = pool.map(
             lambda w: [one(i) for i in range(w, replicates, workers)],

@@ -8,14 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import DISTRIBUTIONS, LOGNORMAL, UNIFORM, ZIPF
 from .errors import InvalidSpec
 from .tally import ABUNDANCE, Column, Observations, Tally
-
-UNIFORM = "uniform"
-ZIPF = "zipf"
-LOGNORMAL = "lognormal"
-
-DISTRIBUTIONS = (UNIFORM, ZIPF, LOGNORMAL)
 
 
 @dataclass(frozen=True)

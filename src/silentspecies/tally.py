@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .choices import ABUNDANCE, INCIDENCE
 from .errors import EmptyDataset, SchemaError
 
-ABUNDANCE = "abundance"
-INCIDENCE = "incidence"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _SHOWN = 40  # characters of a bad count quoted in its error
 

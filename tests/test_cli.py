@@ -426,6 +426,8 @@ def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
     assert "# estimator:" in text
 
 
+HUGE_REPLICATES = str(10**13)  # 218 TiB of results
+
 # (argv, environment, exit code, text the one `error:` line must name)
 BOUNDARY_CASES = {
     "threads-env": (
@@ -476,6 +478,17 @@ BOUNDARY_CASES = {
     "negative-trend-degree": (
         ["correlate", "--input", "sessions.csv", "--group-by", "genre",
          "--trend-degree", "-1"], {}, 2, "argument --trend-degree"),
+    # The (replicates x 3) result array cannot be allocated, which is
+    # reported before any replicate is drawn.
+    "huge-replicates-bootstrap": (
+        ["bootstrap", "--input", "sessions.csv", "--replicates",
+         HUGE_REPLICATES], {}, 1, "MemoryError"),
+    "huge-replicates-incidence": (
+        ["bootstrap", "--input", "sessions.csv", "--mode", "incidence",
+         "--replicates", HUGE_REPLICATES], {}, 1, "MemoryError"),
+    "huge-replicates-accumulate": (
+        ["accumulate", "--input", "sessions.csv", "--sizes", "2",
+         "--replicates", HUGE_REPLICATES], {}, 1, "MemoryError"),
 }
 
 

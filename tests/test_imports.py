@@ -4,10 +4,13 @@ Every check runs in a fresh interpreter, so that modules imported by other
 tests cannot hide a name that resolves only by accident.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import silentspecies
 
@@ -77,3 +80,91 @@ import silentspecies
 for name in silentspecies.__all__:
     assert namespace[name] is getattr(silentspecies, name), name
 """)
+
+
+# Prepended to each script: on exit, the names of every imported module as
+# the last line of stderr. sys.modules sees each import, also those that
+# -X importtime does not list.
+SHOW_MODULES = """import atexit, json, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+"""
+# Runs the script's arguments as `python -m silentspecies.cli` does.
+RUN_CLI = """import runpy
+runpy.run_module("silentspecies.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def imported(code: str, *argv: str) -> tuple[int, set[str]]:
+    """The exit code of `code` run with `argv` in a fresh interpreter, and
+    the modules it imported."""
+    result = fresh_python("-c", SHOW_MODULES + code, *argv)
+    return result.returncode, set(json.loads(result.stderr.splitlines()[-1]))
+
+
+# (script, arguments, exit code): entry points that run no layer.
+WITHOUT_NUMPY = {
+    "import": ("import silentspecies", (), 0),
+    "import-cli": ("import silentspecies.cli", (), 0),
+    "version": (RUN_CLI, ("--version",), 0),
+    "help": (RUN_CLI, ("--help",), 0),
+    "usage-error": (RUN_CLI, ("bootstrap", "--input", "x", "--replicates",
+                              "abc"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITHOUT_NUMPY))
+def test_entry_points_that_run_no_layer_import_no_numpy(case):
+    code, argv, exit_code = WITHOUT_NUMPY[case]
+    returncode, modules = imported(code, *argv)
+    assert returncode == exit_code
+    assert "silentspecies" in modules
+    assert "numpy" not in modules
+
+
+def layers(*names: str) -> set[str]:
+    return {f"silentspecies.{name}" for name in names}
+
+
+# (CLI arguments after the input, modules the command must not import)
+COMMANDS = {
+    "report": (["report", "--group-by", "genre"],
+               layers("resampling", "stats", "synth")
+               | {"concurrent.futures"}),
+    "estimate": (["estimate"], layers("resampling", "stats", "synth")),
+    "tally": (["tally"], layers("resampling", "stats", "synth")),
+    "bootstrap": (["bootstrap", "--replicates", "100"],
+                  layers("stats", "synth", "analysis")),
+    "bootstrap-incidence": (["bootstrap", "--mode", "incidence",
+                             "--replicates", "100"],
+                            layers("stats", "synth", "analysis")
+                            | {"concurrent.futures"}),
+    "accumulate": (["accumulate", "--sizes", "2,4", "--replicates", "100"],
+                   layers("stats", "synth", "analysis")),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "tiny.csv"
+    path.write_text("sample_id,species_id,count,genre\n"
+                    "m1,a,3,Reel\nm1,b,1,Reel\nm2,a,2,Reel\n"
+                    "m2,c,1,Jig\nm3,d,1,Jig\nm3,e,2,Jig\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_each_command_imports_only_its_layers(case, tiny_csv):
+    argv, forbidden = COMMANDS[case]
+    returncode, modules = imported(RUN_CLI, *argv, "--input", str(tiny_csv),
+                                   "--output", os.devnull)
+    assert returncode == 0
+    assert "numpy" in modules
+    assert not modules & forbidden
+
+
+def test_synth_imports_only_its_layers():
+    returncode, modules = imported(RUN_CLI, "synth", "--species", "10",
+                                   "--tokens", "50", "--output", os.devnull)
+    assert returncode == 0
+    assert not modules & (layers("resampling", "stats", "analysis",
+                                 "estimators") | {"concurrent.futures"})
