@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .choices import GroupReportRow
+from .choices import X_COLUMNS, Y_COLUMNS, GroupReportRow
 from .errors import EmptyDataset
 from .estimators import diversity_proxies, estimate_tally
 from .tally import GroupedDataset, Tally
@@ -78,9 +78,9 @@ def group_xy(
 ) -> tuple[list[float], list[float]]:
     """Per-group (x, y) value pairs in group-key order. x is "ttr", "str",
     or "one-minus-ttr"; y is "coverage" or "s_hat"."""
-    if x not in ("ttr", "str", "one-minus-ttr"):
+    if x not in X_COLUMNS:
         raise ValueError(f"unknown x column {x!r}")
-    if y not in ("coverage", "s_hat"):
+    if y not in Y_COLUMNS:
         raise ValueError(f"unknown y column {y!r}")
     rows = [summarize(key, dataset.groups[key], small_sample_correction)
             for key in sorted(dataset.groups)]

@@ -1,5 +1,6 @@
 """The values the CLI offers as choices: the tally modes, synth's
-distributions and the report row, whose fields are the `--sort-by` columns.
+distributions, correlate's x and y columns and the report row, whose fields
+are the `--sort-by` columns.
 
 They live in this module, which imports no numpy, so that the parser is
 built without loading the layers. `tally`, `synth` and `analysis`
@@ -18,6 +19,9 @@ ZIPF = "zipf"
 LOGNORMAL = "lognormal"
 
 DISTRIBUTIONS = (UNIFORM, ZIPF, LOGNORMAL)
+
+X_COLUMNS = ("ttr", "str", "one-minus-ttr")
+Y_COLUMNS = ("coverage", "s_hat")
 
 
 @dataclass(frozen=True)

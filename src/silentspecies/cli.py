@@ -30,6 +30,8 @@ from .choices import (
     DISTRIBUTIONS,
     INCIDENCE,
     UNIFORM,
+    X_COLUMNS,
+    Y_COLUMNS,
     GroupReportRow,
 )
 from .errors import SilentSpeciesError
@@ -132,9 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-group diversity-proxy vs coverage correlation")
     _add_common(p)
     p.add_argument("--group-by", required=True)
-    p.add_argument("--x", choices=["ttr", "str", "one-minus-ttr"],
-                   default="ttr")
-    p.add_argument("--y", choices=["coverage", "s_hat"], default="coverage")
+    p.add_argument("--x", choices=X_COLUMNS, default="ttr",
+                   help="diversity proxy; ttr and str select the same value, "
+                        "TTR in abundance mode and STR in incidence mode, "
+                        "and differ only in the x_name label")
+    p.add_argument("--y", choices=Y_COLUMNS, default="coverage")
     p.add_argument("--correction", action="store_true")
     p.add_argument("--trend-out", help="also write an x,fit,lower,upper trend CSV")
     p.add_argument("--trend-degree", type=_positive, default=2)

@@ -155,77 +155,37 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
                             p_value=p, n_points=n)
 
 
-def _fit_rows(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    degree: int,
-    row_warnings: list[set[tuple[type[Warning], str]]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fit of each row of ys on the same row of xs, in the
-    mapped variable: ascending coefficients, one row per fit, and each
-    row's map (off, scl) onto it. With `row_warnings`, each row's solver
-    warnings are collected in its set instead of being raised.
+def _fit_one(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """Least-squares fit of y on x, as ascending coefficients in x: bit for
+    bit `Polynomial.fit(x, y, degree).convert().coef` padded with +0.0.
 
-    Like Polynomial.fit, each row's domain [min, max] (widened by 1 each way
-    when it is one point) is mapped onto [-1, 1] and solved there.
-    """
-    lo = xs.min(axis=1)
-    hi = xs.max(axis=1)
-    tied = lo == hi
-    lo = np.where(tied, lo - 1, lo)
-    hi = np.where(tied, hi + 1, hi)
-    # numpy's mapparms from [lo, hi] to [-1, 1], operation for operation
-    span = hi - lo
-    off = ((hi * -1.0 - lo * 1.0) / span)[:, None]
-    scl = (2.0 / span)[:, None]
-    u = off + scl * xs
-    solve = np.polynomial.polynomial.polyfit
-    fits = np.empty((xs.shape[0], degree + 1))
-    if row_warnings is None:
-        for row in range(xs.shape[0]):
-            fits[row] = solve(u[row], ys[row], degree)
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for row in range(xs.shape[0]):
-                fits[row] = solve(u[row], ys[row], degree)
-                row_warnings[row].update(
-                    (w.category, str(w.message)) for w in caught)
-                caught.clear()
-    return fits, off, scl
-
-
-def _convert(fits: np.ndarray, off: np.ndarray, scl: np.ndarray) -> np.ndarray:
-    """Each row of mapped-variable coefficients in the original x, bit for
-    bit `Polynomial.convert().coef` padded with +0.0.
-
-    Like convert(), Horner's rule substitutes the line [off, scl] for the
+    Like Polynomial.fit, the domain [min, max] (widened by 1 each way when
+    it is one point) is mapped onto [-1, 1] and solved there. Like
+    convert(), Horner's rule then substitutes the line [off, scl] for the
     mapped variable, each term a sum of at most two products started from
     +0.0 as `np.convolve` sums them. No term is then -0.0, so numpy's
     trimming of trailing zeros changes no value and need not be repeated.
     np.convolve raises no floating-point warnings, so the products raise
     none here either; only the addition of each coefficient does.
     """
-    degree = fits.shape[1] - 1
-    coefficients = np.zeros_like(fits)
-    coefficients[:, 0] = fits[:, -1]
-    for i in range(2, degree + 2):
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        lo, hi = lo - 1, hi + 1
+    # numpy's mapparms from [lo, hi] to [-1, 1], operation for operation
+    span = hi - lo
+    off = (hi * -1.0 - lo * 1.0) / span
+    scl = 2.0 / span
+    fit = np.polynomial.polynomial.polyfit(off + scl * x, y, degree)
+    coefficients = np.zeros(degree + 1)
+    coefficients[0] = fit[-1]
+    for c in fit[-2::-1]:
         with np.errstate(over="ignore", invalid="ignore"):
             step = coefficients * off
-            step[:, 1:] += coefficients[:, :-1] * scl
+            step[1:] += coefficients[:-1] * scl
         step += 0.0  # np.convolve's sums start from +0.0
-        step[:, 0] += fits[:, -i]
+        step[:1] += c
         coefficients = step
     return coefficients
-
-
-def _evaluate(coefficients: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Each row of ascending coefficients at every grid point, by Horner's
-    rule as `polyval` runs it."""
-    curves = coefficients[:, -1:] + grid * 0
-    for i in range(2, coefficients.shape[1] + 1):
-        curves = coefficients[:, -i, None] + curves * grid
-    return curves
 
 
 def polyfit(
@@ -255,40 +215,32 @@ def polyfit(
             f"degree {degree} fit needs {degree + 1} points, got {xa.size}"
         )
 
-    coefficients = _convert(*_fit_rows(xa[None], ya[None], degree))[0]
+    coefficients = _fit_one(xa, ya, degree)
 
     band = None
     if bootstrap_replicates > 0:
         grid = np.unique(xa)
-        idx = np.stack([
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-            ).integers(0, xa.size, size=xa.size)
-            for rep in range(bootstrap_replicates)
-        ])
-        # each replicate's warnings, as (category, message)
-        row_warnings = [set() for _ in range(bootstrap_replicates)]
-        fits, off, scl = _fit_rows(xa[idx], ya[idx], degree, row_warnings)
-        with np.errstate(over="ignore", invalid="ignore"):
-            curves = _evaluate(_convert(fits, off, scl), grid)
-        # An overflow or invalid operation in the conversion or evaluation
-        # leaves an inf or NaN that reaches every point of its replicate's
-        # curve. Those replicates alone are run again, one at a time, so
-        # that their warnings are counted per replicate.
-        for row in np.flatnonzero(~np.isfinite(curves).all(axis=1)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                one = slice(row, row + 1)
-                _evaluate(_convert(fits[one], off[one], scl[one]), grid)
-            row_warnings[row].update(
-                (w.category, str(w.message)) for w in caught)
-        warned = Counter(w for ws in row_warnings for w in ws)
+        curves = np.empty((bootstrap_replicates, grid.size))
+        warned = Counter()  # replicates per (category, message)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rep in range(bootstrap_replicates):
+                idx = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+                ).integers(0, xa.size, size=xa.size)
+                curves[rep] = np.polynomial.polynomial.polyval(
+                    grid, _fit_one(xa[idx], ya[idx], degree))
+                warned.update({(w.category, str(w.message)) for w in caught})
+                caught.clear()
         for (category, message), count in warned.items():
             warnings.warn(f"{count} of {bootstrap_replicates} trend "
                           f"replicates: {message}", category, stacklevel=2)
         alpha = (1.0 - level) / 2.0
-        lower = np.quantile(curves, alpha, axis=0)
-        upper = np.quantile(curves, 1.0 - alpha, axis=0)
+        # A curve that holds an inf makes the interpolation warn; those
+        # replicates are counted above.
+        with np.errstate(invalid="ignore"):
+            lower = np.quantile(curves, alpha, axis=0)
+            upper = np.quantile(curves, 1.0 - alpha, axis=0)
         band = tuple(
             (float(g), float(lo), float(hi))
             for g, lo, hi in zip(grid, lower, upper)
