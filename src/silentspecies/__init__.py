@@ -14,13 +14,13 @@ from .version import __version__
 # Each public name and the submodule it comes from, in __all__'s order.
 _HOMES = {
     "__version__": "version",
-    "ABUNDANCE": "tally",
-    "INCIDENCE": "tally",
+    "ABUNDANCE": "choices",
+    "INCIDENCE": "choices",
     "AccumulationPoint": "resampling",
     "BootstrapResult": "resampling",
     "DegenerateVariance": "errors",
     "EmptyDataset": "errors",
-    "GroupReportRow": "analysis",
+    "GroupReportRow": "choices",
     "GroupedDataset": "tally",
     "InsufficientPoints": "errors",
     "InsufficientSamples": "errors",

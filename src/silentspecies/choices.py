@@ -3,8 +3,7 @@ distributions, correlate's x and y columns and the report row, whose fields
 are the `--sort-by` columns.
 
 They live in this module, which imports no numpy, so that the parser is
-built without loading the layers. `tally`, `synth` and `analysis`
-re-export them under the same names.
+built without loading the layers, and the package resolves them from here.
 """
 
 from __future__ import annotations

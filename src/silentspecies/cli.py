@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tally", help="tally records into an f_r spectrum")
+    p.set_defaults(handler=_cmd_tally)
     _add_common(p)
 
     for name, default_fmt in (("estimate", "csv"), ("report", "markdown")):
@@ -105,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             if name == "report"
             else "richness and coverage estimate",
         )
+        p.set_defaults(handler=_cmd_estimate)
         _add_common(p)
         p.add_argument("--group-by", required=(name == "report"),
                        help="group column for per-group rows")
@@ -118,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accumulate",
                        help="subsample accumulation curve (abundance)")
+    p.set_defaults(handler=_cmd_accumulate)
     _add_common(p, mode=False)
     p.add_argument("--sizes", required=True, type=_sizes,
                    help="comma-separated subsample sizes k")
@@ -125,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bootstrap",
                        help="percentile bootstrap CI for s_hat and coverage")
+    p.set_defaults(handler=_cmd_bootstrap)
     _add_common(p)
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.95)
@@ -132,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate",
                        help="per-group diversity-proxy vs coverage correlation")
+    p.set_defaults(handler=_cmd_correlate)
     _add_common(p)
     p.add_argument("--group-by", required=True)
     p.add_argument("--x", choices=X_COLUMNS, default="ttr",
@@ -146,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates for the trend band; 0 for none")
 
     p = sub.add_parser("synth", help="generate synthetic long-format CSV")
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--distribution", choices=list(DISTRIBUTIONS),
                    default=UNIFORM)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -355,17 +361,6 @@ def _cmd_synth(args, meta) -> None:
     _write((args.output, lambda f: io.write_records_csv(table, f, meta)))
 
 
-_HANDLERS = {
-    "tally": _cmd_tally,
-    "estimate": _cmd_estimate,
-    "report": _cmd_estimate,
-    "accumulate": _cmd_accumulate,
-    "bootstrap": _cmd_bootstrap,
-    "correlate": _cmd_correlate,
-    "synth": _cmd_synth,
-}
-
-
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None) -> None:
     """A library warning as one stderr line, without its source location."""
@@ -383,14 +378,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     from . import io
 
-    meta = io.metadata(
-        command=_command_string(argv),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-    )
+    meta = io.metadata(_command_string(argv), args.seed)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            _HANDLERS[args.command](args, meta)
+            args.handler(args, meta)
         except (SilentSpeciesError, OSError, ValueError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

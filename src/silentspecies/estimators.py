@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import ABUNDANCE, INCIDENCE
 from .errors import EmptyDataset, InsufficientSamples
-from .tally import ABUNDANCE, INCIDENCE, Tally
+from .tally import Tally
 
 _NAMES = {ABUNDANCE: "chao1", INCIDENCE: "chao2"}
 

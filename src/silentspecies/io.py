@@ -21,12 +21,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .choices import GroupReportRow
+from .choices import ABUNDANCE, GroupReportRow
 from .errors import SchemaError
 from .tally import (
     _INT64_MAX,
     _SHOWN,
-    ABUNDANCE,
     Column,
     ObservationRecord,
     Observations,
@@ -172,11 +171,9 @@ def _check_decoded(row: int, where: str, text: str) -> None:
 # Writers
 
 
-def metadata(command: str, seed: int | None = None) -> dict[str, str]:
-    meta = {"tool": f"silentspecies {__version__}", "command": command}
-    if seed is not None:
-        meta["seed"] = str(seed)
-    return meta
+def metadata(command: str, seed: int) -> dict[str, str]:
+    return {"tool": f"silentspecies {__version__}", "command": command,
+            "seed": str(seed)}
 
 
 def _one_line(value: str) -> str:
@@ -358,8 +355,10 @@ def write_trend_csv(
     """Plot-data grid: x,fit,lower,upper, one row per distinct x of the
     fitted points `xs`, with lower and upper empty when no band was
     computed."""
-    grid = np.unique(np.asarray(xs, dtype=float)).tolist()
-    band = fit.band or [(x, None, None) for x in grid]
+    band = fit.band  # a fitted band carries its grid
+    if band is None:
+        grid = np.unique(np.asarray(xs, dtype=float))
+        band = [(x, None, None) for x in grid.tolist()]
     fitted = fit.predict([x for x, _, _ in band]).tolist()
     _write_table(
         f, meta, ("x", "fit", "lower", "upper"),

@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .choices import ABUNDANCE, INCIDENCE
 from .errors import InvalidSize, SubsampleTooLarge
 from .estimators import _s_obs_f1_f2, estimate, estimate_tally
-from .tally import ABUNDANCE, INCIDENCE, Tally
+from .tally import Tally
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
 

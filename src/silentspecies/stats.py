@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import DegenerateVariance, InsufficientPoints
 
+_BAND_LEVEL = 0.95  # the trend band's percentile interval
+
 
 @dataclass(frozen=True)
 class RegressionResult:
@@ -175,7 +177,13 @@ def _fit_one(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     span = hi - lo
     off = (hi * -1.0 - lo * 1.0) / span
     scl = 2.0 / span
-    fit = np.polynomial.polynomial.polyfit(off + scl * x, y, degree)
+    mapped = off + scl * x
+    if not np.isfinite(mapped).all():
+        # numpy's solver raises the same, but LAPACK first prints its
+        # complaints about the non-finite input on stdout.
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least "
+                                    "Squares")
+    fit = np.polynomial.polynomial.polyfit(mapped, y, degree)
     coefficients = np.zeros(degree + 1)
     coefficients[0] = fit[-1]
     for c in fit[-2::-1]:
@@ -193,7 +201,6 @@ def polyfit(
     y: Sequence[float],
     degree: int,
     bootstrap_replicates: int = 0,
-    level: float = 0.95,
     seed: int = 42,
 ) -> TrendFit:
     """Least-squares polynomial fit of the given degree.
@@ -201,8 +208,8 @@ def polyfit(
     x is centered and scaled internally (numpy's domain mapping) so that
     year-valued inputs stay well conditioned; returned coefficients are in
     the original x, ascending powers. With bootstrap_replicates > 0, points
-    are resampled with replacement and a percentile band is evaluated at the
-    sorted distinct x values.
+    are resampled with replacement and a 95% percentile band is evaluated at
+    the sorted distinct x values.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -235,7 +242,7 @@ def polyfit(
         for (category, message), count in warned.items():
             warnings.warn(f"{count} of {bootstrap_replicates} trend "
                           f"replicates: {message}", category, stacklevel=2)
-        alpha = (1.0 - level) / 2.0
+        alpha = (1.0 - _BAND_LEVEL) / 2.0
         # A curve that holds an inf makes the interpolation warn; those
         # replicates are counted above.
         with np.errstate(invalid="ignore"):

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choices import DISTRIBUTIONS, LOGNORMAL, UNIFORM, ZIPF
+from .choices import ABUNDANCE, DISTRIBUTIONS, LOGNORMAL, UNIFORM, ZIPF
 from .errors import InvalidSpec
-from .tally import ABUNDANCE, Column, Observations, Tally
+from .tally import Column, Observations, Tally
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ def sample_site_records(
     with fewer than half as many tokens as species, per_site_n categorical
     tokens (uniforms looked up in the CDF, then counted), which costs
     O(per_site_n log species) and is done for all sites in one batch;
-    otherwise numpy's multinomial, which costs O(species)."""
+    otherwise numpy's multinomial, which costs O(species). Either sampler
+    only draws; with `detection` < 1, each site's generator then thins the
+    counts it drew."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if per_site_n < 1:
@@ -112,14 +114,24 @@ def sample_site_records(
     rngs = (np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(site,)))
         for site in range(m))
+    if detection < 1.0:
+        rngs = list(rngs)  # each thins its own site after the draw
     # Measured per site over 500 and 5,000 species (uniform, zipf and
     # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
     if 2 * per_site_n < k:
         sites, species, counts = _categorical_sites(
-            population, rngs, m, per_site_n, detection)
+            population, rngs, m, per_site_n)
     else:
         sites, species, counts = _multinomial_sites(
-            population, rngs, per_site_n, detection)
+            population, rngs, per_site_n)
+    if detection < 1.0:
+        # A zero count takes nothing from the generator's stream, so thinning
+        # only the counts seen draws what thinning the whole vector does.
+        bounds = np.searchsorted(sites, np.arange(m + 1))
+        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+            counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
+        seen = np.flatnonzero(counts)
+        sites, species, counts = sites[seen], species[seen], counts[seen]
     site_width = max(4, len(str(m)))
     columns = {
         "sample_id": Column(
@@ -135,7 +147,6 @@ def _categorical_sites(
     rngs: Iterable[np.random.Generator],
     m: int,
     per_site_n: int,
-    detection: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
     species ascending: each site's per_site_n uniforms, drawn on its own
@@ -146,8 +157,6 @@ def _categorical_sites(
     # is never drawn.
     cdf = np.cumsum(population)
     cdf /= cdf[-1]
-    if detection < 1.0:
-        rngs = list(rngs)  # each thins its own site after the lookup
     uniforms = np.empty((m, per_site_n))
     for site, rng in enumerate(rngs):
         rng.random(out=uniforms[site])
@@ -159,24 +168,14 @@ def _categorical_sites(
     np.not_equal(tokens[1:], tokens[:-1], out=first[1:])
     first[::per_site_n] = True
     starts = np.flatnonzero(first)
-    sites, species = starts // per_site_n, tokens[starts]
-    counts = np.diff(starts, append=tokens.size)
-    if detection < 1.0:
-        # binomial(0, p) draws nothing from the stream, so thinning only the
-        # counts seen draws what thinning the site's whole count vector does.
-        bounds = np.searchsorted(sites, np.arange(m + 1))
-        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
-            counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
-        seen = np.flatnonzero(counts)
-        sites, species, counts = sites[seen], species[seen], counts[seen]
-    return sites, species, counts
+    return (starts // per_site_n, tokens[starts],
+            np.diff(starts, append=tokens.size))
 
 
 def _multinomial_sites(
     population: np.ndarray,
     rngs: Iterable[np.random.Generator],
     per_site_n: int,
-    detection: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
     species ascending: one multinomial draw per site."""
@@ -184,8 +183,6 @@ def _multinomial_sites(
     counts: list[np.ndarray] = []
     for rng in rngs:
         draws = rng.multinomial(per_site_n, population)
-        if detection < 1.0:
-            draws = rng.binomial(draws, detection)
         seen = np.flatnonzero(draws)
         species.append(seen)
         counts.append(draws[seen])

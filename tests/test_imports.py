@@ -17,8 +17,8 @@ import silentspecies
 SRC = str(Path(silentspecies.__file__).resolve().parents[1])
 
 # The submodules that `import silentspecies` alone makes attributes.
-SUBMODULES = ("analysis", "errors", "estimators", "resampling", "stats",
-              "synth", "tally", "version")
+SUBMODULES = ("analysis", "choices", "errors", "estimators", "resampling",
+              "stats", "synth", "tally", "version")
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -105,6 +105,8 @@ def imported(code: str, *argv: str) -> tuple[int, set[str]]:
 WITHOUT_NUMPY = {
     "import": ("import silentspecies", (), 0),
     "import-cli": ("import silentspecies.cli", (), 0),
+    "vocabulary": ("from silentspecies import ABUNDANCE, INCIDENCE, "
+                   "GroupReportRow", (), 0),
     "version": (RUN_CLI, ("--version",), 0),
     "help": (RUN_CLI, ("--help",), 0),
     "usage-error": (RUN_CLI, ("bootstrap", "--input", "x", "--replicates",

@@ -303,6 +303,23 @@ def test_trailing_zero_coefficients_are_positive_zeros():
     assert not np.signbit(fit.coefficients).any()
 
 
+# (x, replicates): a subnormal range maps x to inf and NaN, in the point fit
+# or, with x = 1 among the points, only in the replicates that miss it.
+NON_FINITE_MAPPINGS = [([0.0, 0.0, 5e-324], 0), ([0.0, 0.0, 5e-324], 5),
+                       ([0.0, 5e-324, 1.0], 20)]
+
+
+@pytest.mark.parametrize("x, replicates", NON_FINITE_MAPPINGS)
+def test_non_finite_mapped_x_raises_before_the_solver_prints(capfd, x,
+                                                             replicates):
+    # LAPACK would print its complaints about the input on stdout first.
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        polyfit(x, [0.0, 0.0, 1.0], 1, bootstrap_replicates=replicates)
+    assert capfd.readouterr() == ("", "")
+
+
 # Inputs whose window fits have zero coefficients of either sign (found by
 # search): the conversion must give the zeros' signs as numpy's does.
 SIGNED_ZERO_FITS = [
