@@ -10,7 +10,7 @@ import numpy as np
 
 from .choices import ABUNDANCE, DISTRIBUTIONS, LOGNORMAL, UNIFORM, ZIPF
 from .errors import InvalidSpec
-from .tally import Column, Observations, Tally
+from .tally import _INT64_MAX, Column, Observations, Tally
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def _species_labels(count: int) -> list[str]:
 
 def sample(population: np.ndarray, n: int, seed: int) -> Tally:
     """Draw n tokens (exact multinomial) from the population and tally."""
-    if n < 1:
-        raise InvalidSpec(f"n must be >= 1, got {n}")
+    if not 1 <= n <= _INT64_MAX:
+        raise InvalidSpec(f"n must be in [1, {_INT64_MAX}] (int64), got {n}")
     population = _population(population)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.multinomial(n, population)
@@ -105,12 +105,17 @@ def sample_site_records(
     counts it drew."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
-    if per_site_n < 1:
-        raise InvalidSpec(f"per_site_n must be >= 1, got {per_site_n}")
+    if not 1 <= per_site_n <= _INT64_MAX:
+        raise InvalidSpec(f"per_site_n must be in [1, {_INT64_MAX}] (int64), "
+                          f"got {per_site_n}")
     if not 0.0 < detection <= 1.0:
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
+    # Rows per site, allocated before any site's generator is built: numpy
+    # refuses an impossible m at once, where drawing site by site would run
+    # for ever.
+    sizes = np.empty(m, dtype=np.int64)
     rngs = (np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(site,)))
         for site in range(m))
@@ -123,7 +128,7 @@ def sample_site_records(
             population, rngs, m, per_site_n)
     else:
         sites, species, counts = _multinomial_sites(
-            population, rngs, per_site_n)
+            population, rngs, per_site_n, sizes)
     if detection < 1.0:
         # A zero count takes nothing from the generator's stream, so thinning
         # only the counts seen draws what thinning the whole vector does.
@@ -176,15 +181,18 @@ def _multinomial_sites(
     population: np.ndarray,
     rngs: Iterable[np.random.Generator],
     per_site_n: int,
+    sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
-    species ascending: one multinomial draw per site."""
+    species ascending: one multinomial draw per site. `sizes`, one entry
+    per site, receives the number of species each site saw."""
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
-    for rng in rngs:
+    for site, rng in enumerate(rngs):
         draws = rng.multinomial(per_site_n, population)
         seen = np.flatnonzero(draws)
+        sizes[site] = len(seen)
         species.append(seen)
         counts.append(draws[seen])
-    sites = np.repeat(np.arange(len(species)), [len(seen) for seen in species])
+    sites = np.repeat(np.arange(len(sizes)), sizes)
     return sites, np.concatenate(species), np.concatenate(counts)

@@ -213,6 +213,15 @@ def _check(obs: Observations, mode: str) -> None:
     raise SchemaError(f"row {row}: missing sample_id in incidence mode")
 
 
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array: each entry that differs
+    from the one before it."""
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _tally(
     records: Observations | Iterable[ObservationRecord], mode: str
 ) -> Tally:
@@ -230,10 +239,13 @@ def _tally(
         np.add.at(counts, index, obs.counts[present])
     else:
         n_species = max(len(column.labels), 1)  # 1 for an empty table
-        pairs = np.unique(obs.column("sample_id").codes[present] * n_species
-                          + column.codes[present])
+        # Sorted, not plain np.unique: on numpy >= 2.3 that hashes, which on
+        # these keys is tens of times slower than a sort, and it imports
+        # numpy.ma. With return_counts, np.unique sorts.
+        pairs = _distinct(np.sort(obs.column("sample_id").codes[present]
+                                  * n_species + column.codes[present]))
         species, counts = np.unique(pairs % n_species, return_counts=True)
-        total = len(np.unique(pairs // n_species))
+        total = len(_distinct(pairs // n_species))
     if not len(species):
         raise EmptyDataset("no records with positive counts")
     return Tally(dict(zip([column.labels[i] for i in species.tolist()],

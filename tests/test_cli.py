@@ -427,6 +427,7 @@ def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
 
 
 HUGE_REPLICATES = str(10**13)  # 218 TiB of results
+BEYOND_INT64 = "99999999999999999999"
 
 # (argv, environment, exit code, text the one `error:` line must name)
 BOUNDARY_CASES = {
@@ -467,6 +468,13 @@ BOUNDARY_CASES = {
     "synth-sigma-overflow": (
         ["synth", "--distribution", "lognormal", "--sigma", "1e308",
          "--species", "5", "--tokens", "5"], {}, 1, "sigma"),
+    # numpy's multinomial cannot take a count beyond int64.
+    "synth-huge-tokens": (
+        ["synth", "--species", "10", "--tokens", BEYOND_INT64], {}, 1,
+        "int64"),
+    "synth-huge-per-site": (
+        ["synth", "--species", "10", "--sites", "2", "--per-site",
+         BEYOND_INT64], {}, 1, "int64"),
     "negative-trend-replicates": (
         ["correlate", "--input", "sessions.csv", "--group-by", "genre",
          "--trend-out", "trend.csv", "--trend-replicates", "-5"], {}, 2,
@@ -506,6 +514,26 @@ def test_bad_flag_or_environment_gives_one_error_line(
     assert len(errors) == 1
     assert named in errors[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("detection", ["1", "0.5"])
+def test_synth_refuses_an_impossible_site_count_at_once(detection):
+    # Three species take the multinomial sampler, which draws site by site;
+    # at detection < 1 every site's generator is built before the draws.
+    proc = cli_process(["synth", "--species", "3", "--sites", BEYOND_INT64,
+                        "--detection", detection, "--output", os.devnull],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                       text=True)
+    try:
+        out, err = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail("synth --sites beyond int64 still ran after 20 s")
+    assert proc.returncode == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 HEADER = "sample_id,species_id,count\n"

@@ -134,6 +134,17 @@ COMMANDS = {
                | {"concurrent.futures"}),
     "estimate": (["estimate"], layers("resampling", "stats", "synth")),
     "tally": (["tally"], layers("resampling", "stats", "synth")),
+    # Plain np.unique imports numpy.ma; the incidence tally sorts instead.
+    # bootstrap and correlate import it anyway, through np.quantile.
+    "report-incidence": (["report", "--mode", "incidence", "--group-by",
+                          "genre"],
+                         layers("resampling", "stats", "synth")
+                         | {"concurrent.futures", "numpy.ma"}),
+    "estimate-incidence": (["estimate", "--mode", "incidence"],
+                           layers("resampling", "stats", "synth")
+                           | {"numpy.ma"}),
+    "tally-incidence": (["tally", "--mode", "incidence"],
+                        layers("resampling", "stats", "synth") | {"numpy.ma"}),
     "bootstrap": (["bootstrap", "--replicates", "100"],
                   layers("stats", "synth", "analysis")),
     "bootstrap-incidence": (["bootstrap", "--mode", "incidence",
