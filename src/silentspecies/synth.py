@@ -112,9 +112,9 @@ def sample_site_records(
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
-    # Rows per site, allocated before any site's generator is built: numpy
-    # refuses an impossible m at once, where drawing site by site would run
-    # for ever.
+    # Rows per site, which the multinomial sampler fills. Allocated before
+    # any site's generator is built, so that numpy refuses an impossible m
+    # at once, where drawing site after site would run for ever.
     sizes = np.empty(m, dtype=np.int64)
     rngs = (np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(site,)))
