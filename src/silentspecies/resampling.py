@@ -19,6 +19,7 @@ import numpy as np
 from .choices import ABUNDANCE, INCIDENCE
 from .errors import InvalidSize, SubsampleTooLarge
 from .estimators import _s_obs_f1_f2, estimate, estimate_tally
+from .streams import streams
 from .tally import Tally
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
@@ -87,14 +88,13 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
     """replicates x (s_obs, s_hat, coverage) of the drawn count vectors, in
     replicate order. Replicate i draws on SeedSequence(seed, spawn_key=
     (*key, i)), so no result depends on `workers`; with W > 1 workers,
-    worker w runs replicates w, w + W, ... as one task. A draw that sees no
-    species (only tiny incidence resamples can) has s_hat 0, coverage 1.
-    The result array is allocated before any draw, so a count of replicates
-    too large for memory raises MemoryError at once."""
+    worker w runs replicates w, w + W, ... as one task, on one generator
+    set to each of its replicates' streams in turn (`streams`). A draw that
+    sees no species (only tiny incidence resamples can) has s_hat 0,
+    coverage 1. The result array is allocated before any draw, so a count
+    of replicates too large for memory raises MemoryError at once."""
 
-    def one(i: int) -> tuple[float, float, float]:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(*key, i)))
+    def one(rng: np.random.Generator) -> tuple[float, float, float]:
         s_obs, f1, f2 = _s_obs_f1_f2(draw(rng))
         if not s_obs:
             return 0.0, 0.0, 1.0
@@ -103,18 +103,19 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
 
     rows = np.empty((replicates, 3), dtype=np.float64)
     workers = min(workers, replicates)
+
+    def share(w: int) -> None:
+        indices = range(w, replicates, workers)
+        for i, rng in zip(indices, streams(seed, key, indices)):
+            rows[i] = one(rng)
+
     if workers <= 1:
-        for i in range(replicates):
-            rows[i] = one(i)
+        share(0)
         return rows
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = pool.map(
-            lambda w: [one(i) for i in range(w, replicates, workers)],
-            range(workers))
-        for w, share in enumerate(shares):
-            rows[w::workers] = share
+        list(pool.map(share, range(workers)))  # raises a worker's error
     return rows
 
 

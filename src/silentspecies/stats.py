@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientPoints
+from .streams import streams
 
 _BAND_LEVEL = 0.95  # the trend band's percentile interval
 
@@ -231,10 +232,9 @@ def polyfit(
         warned = Counter()  # replicates per (category, message)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for rep in range(bootstrap_replicates):
-                idx = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-                ).integers(0, xa.size, size=xa.size)
+            for rep, rng in enumerate(
+                    streams(seed, (), range(bootstrap_replicates))):
+                idx = rng.integers(0, xa.size, size=xa.size)
                 curves[rep] = np.polynomial.polynomial.polyval(
                     grid, _fit_one(xa[idx], ya[idx], degree))
                 warned.update({(w.category, str(w.message)) for w in caught})

@@ -10,6 +10,7 @@ import numpy as np
 
 from .choices import ABUNDANCE, DISTRIBUTIONS, LOGNORMAL, UNIFORM, ZIPF
 from .errors import InvalidSpec
+from .streams import streams
 from .tally import _INT64_MAX, Column, Observations, Tally
 
 
@@ -96,13 +97,16 @@ def sample_site_records(
     thins each observed token before it is recorded.
 
     Each site's counts are an exact multinomial(per_site_n, population)
-    draw on the site's own generator, made by whichever method is cheaper:
-    with fewer than half as many tokens as species, per_site_n categorical
-    tokens (uniforms looked up in the CDF, then counted), which costs
-    O(per_site_n log species) and is done for all sites in one batch;
-    otherwise numpy's multinomial, which costs O(species). Either sampler
-    only draws; with `detection` < 1, each site's generator then thins the
-    counts it drew."""
+    draw on the site's own stream, SeedSequence(seed, spawn_key=(site,)),
+    made by whichever method is cheaper: with fewer than half as many tokens
+    as species, per_site_n categorical tokens (uniforms looked up in the
+    CDF, then counted), which costs O(per_site_n log species) and is done
+    for all sites in one batch; otherwise numpy's multinomial, which costs
+    O(species). With `detection` < 1, the site's stream then thins the
+    counts it drew: the multinomial sampler thins each site as it draws it,
+    and the categorical one replays each site's stream past its uniforms
+    after the batch. `streams` sets one generator to each site's stream in
+    turn, so no per-site generator is held at any detection."""
     if m < 1:
         raise InvalidSpec(f"m must be >= 1, got {m}")
     if not 1 <= per_site_n <= _INT64_MAX:
@@ -113,28 +117,29 @@ def sample_site_records(
     population = _population(population)
     k = population.size
     # Rows per site, which the multinomial sampler fills. Allocated before
-    # any site's generator is built, so that numpy refuses an impossible m
-    # at once, where drawing site after site would run for ever.
+    # any site is drawn, so that numpy refuses an impossible m at once,
+    # where drawing site after site would run for ever.
     sizes = np.empty(m, dtype=np.int64)
-    rngs = (np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(site,)))
-        for site in range(m))
-    if detection < 1.0:
-        rngs = list(rngs)  # each thins its own site after the draw
     # Measured per site over 500 and 5,000 species (uniform, zipf and
     # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
     if 2 * per_site_n < k:
         sites, species, counts = _categorical_sites(
-            population, rngs, m, per_site_n)
+            population, streams(seed, (), range(m)), m, per_site_n)
+        if detection < 1.0:
+            # random() takes one 64-bit output per double, so advancing a
+            # site's stream by per_site_n resumes it where its uniforms
+            # ended. A zero count takes nothing from the stream, so thinning
+            # only the counts seen draws what thinning the whole vector does.
+            bounds = np.searchsorted(sites, np.arange(m + 1))
+            for rng, lo, hi in zip(streams(seed, (), range(m)),
+                                   bounds[:-1], bounds[1:]):
+                rng.bit_generator.advance(per_site_n)
+                counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
     else:
         sites, species, counts = _multinomial_sites(
-            population, rngs, per_site_n, sizes)
+            population, streams(seed, (), range(m)), per_site_n, detection,
+            sizes)
     if detection < 1.0:
-        # A zero count takes nothing from the generator's stream, so thinning
-        # only the counts seen draws what thinning the whole vector does.
-        bounds = np.searchsorted(sites, np.arange(m + 1))
-        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
-            counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
         seen = np.flatnonzero(counts)
         sites, species, counts = sites[seen], species[seen], counts[seen]
     site_width = max(4, len(str(m)))
@@ -181,11 +186,13 @@ def _multinomial_sites(
     population: np.ndarray,
     rngs: Iterable[np.random.Generator],
     per_site_n: int,
+    detection: float,
     sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
-    species ascending: one multinomial draw per site. `sizes`, one entry
-    per site, receives the number of species each site saw."""
+    species ascending: one multinomial draw per site, whose non-zero counts
+    the same generator then thins when `detection` < 1 (a thinned count may
+    be 0). `sizes`, one entry per site, receives each site's row count."""
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     for site, rng in enumerate(rngs):
@@ -193,6 +200,7 @@ def _multinomial_sites(
         seen = np.flatnonzero(draws)
         sizes[site] = len(seen)
         species.append(seen)
-        counts.append(draws[seen])
+        counts.append(draws[seen] if detection == 1.0
+                      else rng.binomial(draws[seen], detection))
     sites = np.repeat(np.arange(len(sizes)), sizes)
     return sites, np.concatenate(species), np.concatenate(counts)

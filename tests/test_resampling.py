@@ -234,6 +234,29 @@ def test_replicate_rows_do_not_depend_on_workers(replicates):
     assert rows[0][:, 0].tolist() == seen
 
 
+def per_replicate_default_rng(seed, key, indices):
+    """The streams the replicates promise, one new generator each."""
+    for i in indices:
+        yield np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(*key, i)))
+
+
+def test_results_match_per_replicate_generators_at_any_thread_count(
+        zipf_tally, monkeypatch):
+    # On 2 CPUs, threads=2 runs two workers, each deriving its own share of
+    # the streams onto its own generator.
+    def run(threads):
+        return (bootstrap_ci(zipf_tally, 150, 0.95, seed=17, threads=threads),
+                accumulate(zipf_tally, ORACLE_SIZES, 60, seed=17,
+                           threads=threads))
+
+    ours = {threads: run(threads) for threads in (1, 2)}
+    monkeypatch.setattr(resampling, "streams", per_replicate_default_rng)
+    reference = run(1)
+    assert ours[1] == reference
+    assert ours[2] == reference
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 200])
 def test_seen_probabilities_are_binomial(m):
     # Rates 0 and 1 meet 0.0 ** 0 in P1 and, at m = 1, 0.0 ** -1 in P2.

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from silentspecies import (
     estimate_tally,
     tally_incidence,
 )
+from silentspecies import synth
 from silentspecies.synth import (
     PopulationSpec,
     generate,
@@ -148,12 +150,17 @@ class TestSampleSites:
     # can see; these tests feed such uniforms in directly.
     @staticmethod
     def species_drawn(monkeypatch, probs, uniforms):
+        drawn = []
+
         def random(out):
             out[:] = uniforms
+            drawn.append(out.size)
 
         fake = SimpleNamespace(random=random)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
+        monkeypatch.setattr(synth, "streams",
+                            lambda seed, key, indices: (fake for _ in indices))
         table = sample_site_records(np.array(probs), 1, len(uniforms))
+        assert drawn == [len(uniforms)]  # the site drew the fake uniforms
         return [r.species_id for r in table]
 
     def test_uniform_on_a_cdf_entry_draws_the_next_species(self, monkeypatch):
@@ -177,6 +184,31 @@ class TestSampleSites:
     def test_invalid_population(self, probs, per_site_n):
         with pytest.raises(InvalidSpec):
             sample_site_records(np.array(probs), 3, per_site_n)
+
+    @pytest.mark.parametrize("species, per_site_n", [(200, 5), (10, 20)],
+                             ids=["categorical", "multinomial"])
+    def test_thinning_holds_nothing_per_site(self, species, per_site_n):
+        # The traced peak that each more site adds, between 1,024 and 3,072
+        # sites (whole blocks of streams, so fixed costs cancel): at
+        # detection 0.7 at most 10% above detection 1, where nothing is
+        # thinned. Keeping each site's generator until a thinning step after
+        # the draw reads 9x (categorical) and 2.3x (multinomial) here.
+        probs = generate(PopulationSpec(species, "zipf", alpha=1.0))
+        # Untraced, so that first-use allocations fall outside the peaks.
+        sample_site_records(probs, 3072, per_site_n, 0.7)
+
+        def peak(m, detection):
+            tracemalloc.start()
+            try:
+                sample_site_records(probs, m, per_site_n, detection, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def per_site(detection):
+            return (peak(3072, detection) - peak(1024, detection)) / 2048
+
+        assert per_site(0.7) <= 1.1 * per_site(1.0)
 
     def test_invalid_detection(self):
         probs = generate(PopulationSpec(5, "uniform"))
