@@ -17,7 +17,7 @@ import re
 from dataclasses import asdict, astuple, fields
 from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .choices import ABUNDANCE, GroupReportRow
 from .errors import SchemaError
 from .tally import (
     _INT64_MAX,
-    _SHOWN,
     Column,
     ObservationRecord,
     Observations,
     _observations,
+    _shown,
 )
 from .version import __version__
 
@@ -147,15 +147,6 @@ def _parse_count(row: int, text: str) -> int:
             raise SchemaError(f"row {row}: negative count {_shown(text)}")
     _check_decoded(row, "'count'", text)
     raise SchemaError(f"row {row}: non-integer count {_shown(text, repr)}")
-
-
-def _shown(text: str, form: Callable[[str], str] = str) -> str:
-    """`text` for an error message, cut to _SHOWN characters and then
-    followed by its length."""
-    shown = form(text[:_SHOWN])
-    if len(text) <= _SHOWN:
-        return shown
-    return f"{shown}... ({len(text)} characters)"
 
 
 def _check_decoded(row: int, where: str, text: str) -> None:

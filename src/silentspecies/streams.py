@@ -3,11 +3,13 @@ reused generator.
 
 Stream i of (seed, key) is numpy's `PCG64(SeedSequence(seed, spawn_key=
 (*key, i)))`. Building it through `default_rng` costs 11-22 us of
-Python-level work per stream, all of it holding the GIL. `streams` computes
-the same states for a block of indices at once: SeedSequence's hash over
+Python-level work per stream, all of it holding the GIL. Every stream of
+(seed, key) starts from the pool of `SeedSequence(seed, spawn_key=key)`,
+since the index's words come last. `streams` takes that pool from numpy
+and derives a block of indices' states at once: the index words' hash on
 uint32 arrays, then PCG64's seeding step on Python ints. NEP 19 and numpy's
-stream-compatibility policy fix both algorithms, and
-`tests/test_streams.py` checks every state against numpy's own.
+stream-compatibility policy fix both algorithms, and `tests/test_streams.py`
+checks every state against numpy's own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections.abc import Iterator
 import numpy as np
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -34,76 +35,40 @@ _MASK128 = (1 << 128) - 1
 _BLOCK = 1024
 
 
-def _words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian uint32
-    words, 0 being one word."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-# The arithmetic below is on uint32 words, held either as Python ints or as
-# numpy uint32 arrays; masking after each product keeps both in 32 bits.
-
-class _Hash:
-    """SeedSequence's hashmix, whose constant advances at every call."""
-
-    def __init__(self, const: int) -> None:
-        self.const = const
-
-    def __call__(self, value):
-        value = value ^ self.const
-        self.const = self.const * _MULT_A & _MASK32
-        value = value * self.const & _MASK32
-        return value ^ value >> _XSHIFT
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
-def _absorb(pool: list, hashmix: _Hash, words) -> None:
-    """Mix each entropy word past the pool's first fill into every pool
-    word, in place."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-
-def _prefix(seed: int, key: tuple[int, ...]) -> tuple[list[int], int]:
-    """The pool, and the hash constant, once the seed and key words are
-    mixed in; every stream of (seed, key) starts from them. A spawn key
-    follows, so the seed's words are padded to the pool size, and the
-    pool's first fill and cross-mix read only the seed."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hashmix = _Hash(_INIT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    _absorb(pool, hashmix,
-            entropy[_POOL_SIZE:] + [w for part in key for w in _words(part)])
-    return pool, hashmix.const
+def _prefix(seq: np.random.SeedSequence) -> tuple[list[int], int]:
+    """`seq`'s pool, and the hash constant that follows it. Each hashmix
+    call multiplies the constant by _MULT_A: filling and cross-mixing the
+    pool takes size**2 calls, and each entropy word past the pool's first
+    fill takes `size` more. Only a seed longer than the pool has such words,
+    as the seed is padded to the pool size before a spawn key."""
+    size = seq.pool.size
+    words = [(int(value).bit_length() + 31) // 32 or 1
+             for value in (seq.entropy, *seq.spawn_key)]
+    calls = size * (size + max(0, words[0] - size) + sum(words[1:]))
+    return seq.pool.tolist(), _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
 
 
 def _seed_words(prefix: tuple[list[int], int],
                 words: list[np.ndarray]) -> np.ndarray:
     """(indices x 8) uint32: `generate_state(4, np.uint64)`'s words for the
-    indices whose entropy words are `words`, one array per word."""
+    indices whose entropy words are `words`, one array per word. uint32
+    array arithmetic wraps mod 2**32, as SeedSequence's does."""
     pool = [np.full(words[0].size, value, np.uint32) for value in prefix[0]]
-    _absorb(pool, _Hash(prefix[1]), words)
-    out = np.empty((words[0].size, 2 * _POOL_SIZE), np.uint32)
+    const = prefix[1]
+    for word in words:  # mixed into every pool word, as SeedSequence does
+        for dst in range(len(pool)):
+            value = word ^ const  # hashmix
+            const = const * _MULT_A & _MASK32
+            value *= const
+            value ^= value >> _XSHIFT
+            value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * value  # mix
+            pool[dst] = value ^ value >> _XSHIFT
+    out = np.empty((words[0].size, 2 * len(pool)), np.uint32)
     const = _INIT_B
-    for dst in range(2 * _POOL_SIZE):
-        value = pool[dst % _POOL_SIZE] ^ const
+    for dst in range(2 * len(pool)):
+        value = pool[dst % len(pool)] ^ const
         const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
+        value *= const
         out[:, dst] = value ^ value >> _XSHIFT
     return out
 
@@ -116,7 +81,7 @@ def _states(prefix: tuple[list[int], int],
     # An index of 2**32 or more adds a second word, so the hash constants
     # differ from there on.
     wide = values > _MASK32
-    out = np.empty((values.size, 2 * _POOL_SIZE), np.uint32)
+    out = np.empty((values.size, 8), np.uint32)
     for rows, words in ((~wide, [low]),
                         (wide, [low, (values >> 32).astype(np.uint32)])):
         if rows.any():
@@ -140,11 +105,12 @@ def streams(seed: int, key: tuple[int, ...],
     [0, 2**64)), each time in the state of `PCG64(SeedSequence(seed,
     spawn_key=(*key, i)))`. It is the same object every time, so finish
     with one state before asking for the next."""
-    # Built from (seed, key) so that numpy checks both, as it would for
-    # each stream; its own state is replaced before the first yield.
-    bit_generator = np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=key))
-    prefix = _prefix(seed, key)
+    # Built first, so that numpy checks the seed and key as it would for
+    # each stream; the generator's own state is replaced before the first
+    # yield.
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    prefix = _prefix(seq)
+    bit_generator = np.random.PCG64(seq)
     generator = np.random.Generator(bit_generator)
     for start in range(0, len(indices), _BLOCK):
         for state, inc in _states(prefix, indices[start:start + _BLOCK]):

@@ -116,10 +116,6 @@ def sample_site_records(
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
-    # Rows per site, which the multinomial sampler fills. Allocated before
-    # any site is drawn, so that numpy refuses an impossible m at once,
-    # where drawing site after site would run for ever.
-    sizes = np.empty(m, dtype=np.int64)
     # Measured per site over 500 and 5,000 species (uniform, zipf and
     # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
     if 2 * per_site_n < k:
@@ -137,8 +133,7 @@ def sample_site_records(
                 counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
     else:
         sites, species, counts = _multinomial_sites(
-            population, streams(seed, (), range(m)), per_site_n, detection,
-            sizes)
+            population, streams(seed, (), range(m)), m, per_site_n, detection)
     if detection < 1.0:
         seen = np.flatnonzero(counts)
         sites, species, counts = sites[seen], species[seen], counts[seen]
@@ -185,14 +180,17 @@ def _categorical_sites(
 def _multinomial_sites(
     population: np.ndarray,
     rngs: Iterable[np.random.Generator],
+    m: int,
     per_site_n: int,
     detection: float,
-    sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, species, count) of every species seen, site by site and
     species ascending: one multinomial draw per site, whose non-zero counts
     the same generator then thins when `detection` < 1 (a thinned count may
-    be 0). `sizes`, one entry per site, receives each site's row count."""
+    be 0)."""
+    # Rows per site, allocated first: numpy refuses an impossible m at once,
+    # where drawing site after site would run for ever.
+    sizes = np.empty(m, dtype=np.int64)
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     for site, rng in enumerate(rngs):
@@ -202,5 +200,5 @@ def _multinomial_sites(
         species.append(seen)
         counts.append(draws[seen] if detection == 1.0
                       else rng.binomial(draws[seen], detection))
-    sites = np.repeat(np.arange(len(sizes)), sizes)
+    sites = np.repeat(np.arange(m), sizes)
     return sites, np.concatenate(species), np.concatenate(counts)

@@ -15,9 +15,8 @@ once.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,19 +63,13 @@ class Column(NamedTuple):
         return self.codes == self.empty
 
 
-def _shown_count(count: int) -> str:
-    """`count` for an error message as io shows a count's text: whole up to
-    _SHOWN characters, else its first _SHOWN characters and its length.
-    str() refuses an int of over 4,300 digits, so only those are formatted."""
-    sign = "-" if count < 0 else ""
-    n = abs(count)
-    digits = int(n.bit_length() * math.log10(2)) + 2  # n's digits, or 1-2 more
-    while digits > 1 and n < 10 ** (digits - 1):
-        digits -= 1
-    if len(sign) + digits <= _SHOWN:
-        return str(count)
-    head = n // 10 ** (digits - _SHOWN + len(sign))
-    return f"{sign}{head}... ({len(sign) + digits} characters)"
+def _shown(text: str, form: Callable[[str], str] = str) -> str:
+    """`text` for an error message, cut to _SHOWN characters and then
+    followed by its length."""
+    shown = form(text[:_SHOWN])
+    if len(text) <= _SHOWN:
+        return shown
+    return f"{shown}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +101,11 @@ class Observations:
         except OverflowError:
             i = next(i for i, c in enumerate(counts)
                      if not -_INT64_MAX - 1 <= c <= _INT64_MAX)
+            # str() refuses an int of over 4,300 digits; Decimal's does not.
+            from decimal import Decimal
             raise SchemaError(f"row {rows[i]}: count "
-                              f"{_shown_count(counts[i])} outside the int64 "
-                              "range") from None
+                              f"{_shown(str(Decimal(int(counts[i]))))} outside "
+                              "the int64 range") from None
         return cls(columns, count_array, np.asarray(rows, dtype=np.int64))
 
     @classmethod

@@ -518,8 +518,9 @@ def test_bad_flag_or_environment_gives_one_error_line(
 
 @pytest.mark.parametrize("detection", ["1", "0.5"])
 def test_synth_refuses_an_impossible_site_count_at_once(detection):
-    # Three species take the multinomial sampler, which draws site by site;
-    # at detection < 1 every site's generator is built before the draws.
+    # Three species take the multinomial sampler, which draws site by site
+    # (and thins each site right after its draw) once its per-site row
+    # counts are allocated.
     proc = cli_process(["synth", "--species", "3", "--sites", BEYOND_INT64,
                         "--detection", detection, "--output", os.devnull],
                        stdout=subprocess.PIPE, stderr=subprocess.PIPE,

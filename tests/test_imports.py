@@ -153,15 +153,27 @@ COMMANDS = {
                             | {"concurrent.futures"}),
     "accumulate": (["accumulate", "--sizes", "2,4", "--replicates", "100"],
                    layers("stats", "synth", "analysis")),
+    # The trend band draws on `streams`, which imports neither.
+    "correlate-incidence": (["correlate", "--mode", "incidence",
+                             "--group-by", "genre", "--trend-out",
+                             os.devnull],
+                            layers("resampling", "synth")
+                            | {"concurrent.futures"}),
 }
+# No successful command imports decimal: only the error for a count beyond
+# int64 needs it.
+NEVER = {"decimal"}
 
 
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "tiny.csv"
+    # Three genres, the fewest that correlate fits a trend to.
     path.write_text("sample_id,species_id,count,genre\n"
                     "m1,a,3,Reel\nm1,b,1,Reel\nm2,a,2,Reel\n"
-                    "m2,c,1,Jig\nm3,d,1,Jig\nm3,e,2,Jig\n", encoding="utf-8")
+                    "m2,c,1,Jig\nm3,d,1,Jig\nm3,e,2,Jig\n"
+                    "m4,a,1,Polka\nm4,f,2,Polka\nm5,b,1,Polka\n",
+                    encoding="utf-8")
     return path
 
 
@@ -172,12 +184,31 @@ def test_each_command_imports_only_its_layers(case, tiny_csv):
                                    "--output", os.devnull)
     assert returncode == 0
     assert "numpy" in modules
-    assert not modules & forbidden
+    assert not modules & (forbidden | NEVER)
+
+
+SYNTH_FORBIDDEN = (layers("resampling", "stats", "analysis", "estimators")
+                   | {"concurrent.futures"} | NEVER)
 
 
 def test_synth_imports_only_its_layers():
     returncode, modules = imported(RUN_CLI, "synth", "--species", "10",
                                    "--tokens", "50", "--output", os.devnull)
     assert returncode == 0
-    assert not modules & (layers("resampling", "stats", "analysis",
-                                 "estimators") | {"concurrent.futures"})
+    assert not modules & SYNTH_FORBIDDEN
+
+
+# synth --sites arguments per site sampler; detection < 1 runs the thinning.
+SYNTH_SITES = {
+    "categorical": ["--species", "500", "--per-site", "30",
+                    "--detection", "0.7"],
+    "multinomial": ["--species", "40", "--per-site", "200"],
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SYNTH_SITES))
+def test_synth_sites_import_only_its_layers(sampler):
+    returncode, modules = imported(RUN_CLI, "synth", *SYNTH_SITES[sampler],
+                                   "--sites", "20", "--output", os.devnull)
+    assert returncode == 0
+    assert not modules & SYNTH_FORBIDDEN

@@ -1,11 +1,21 @@
 """The block-derived streams against numpy's own SeedSequence and PCG64."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from silentspecies import (
+    PopulationSpec,
+    accumulate,
+    bootstrap_ci,
+    generate,
+    polyfit,
+    sample,
+    sample_site_records,
+)
 from silentspecies.streams import _BLOCK, streams
 
 
@@ -44,6 +54,14 @@ windows = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, keys, windows)
+# The hash constant after the seed and key depends on their word counts:
+# seeds of exactly 4 and of 5 words, a 3-word key part, all-ones words,
+# and a 6-word seed with indices of one and two words.
+@example(2**96, (), range(3))
+@example(2**128 + 3, (), range(3))
+@example(5, (2**64 + 1,), range(3))
+@example(2**160 - 1, (2**64 - 1,), range(3))
+@example(2**160 + 11, (4,), range(2**32 - 2, 2**32 + 2))
 def test_states_and_draws_match_numpy(seed, key, indices):
     yielded = 0
     for i, rng in zip(indices, streams(seed, key, indices)):
@@ -72,3 +90,30 @@ def test_bad_seed_or_key_raises_numpys_own_error(seed, key):
         np.random.SeedSequence(seed, spawn_key=(*key, 0))
     with pytest.raises(numpys.type, match=re.escape(str(numpys.value))):
         next(streams(seed, key, range(1)))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_seeds_act_as_python_ints(kind):
+    population = generate(PopulationSpec(s_true=60, distribution="zipf"))
+    tally = sample(population, 400, seed=3)
+    x = np.arange(30.0)
+    y = np.sin(x / 4) + x / 10
+
+    def results(seed):
+        # 20 tokens over 60 species take the categorical sampler, 200 the
+        # multinomial one.
+        sites = [sample_site_records(population, 25, per_site_n, 0.7, seed)
+                 for per_site_n in (20, 200)]
+        return (
+            [rng.bit_generator.state for rng in streams(seed, (2, 2**40),
+                                                        range(3))],
+            bootstrap_ci(tally, 200, 0.95, seed),
+            accumulate(tally, [50, 300], 20, seed),
+            polyfit(x, y, 2, bootstrap_replicates=20, seed=seed),
+            [(table.counts.tolist(), table.rows.tolist(),
+              [(column.labels, column.codes.tolist())
+               for column in table.columns.values()]) for table in sites])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert results(kind(7)) == results(7)
