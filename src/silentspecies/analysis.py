@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .choices import X_COLUMNS, Y_COLUMNS, GroupReportRow
+from .choices import SORT_COLUMNS, X_COLUMNS, Y_COLUMNS, GroupReportRow, known
 from .errors import EmptyDataset
 from .estimators import diversity_proxies, estimate_tally
 from .tally import GroupedDataset, Tally
@@ -20,9 +20,12 @@ TOTAL_KEY = "Total"
 def merge_tallies(tallies: Sequence[Tally]) -> Tally:
     """Pool tallies of one mode: counts are summed per species and totals
     are summed (in incidence mode, sampling sites are disjoint across
-    groups)."""
+    groups). Tallies of mixed modes raise ValueError."""
     if not tallies:
         raise EmptyDataset("nothing to merge")
+    modes = sorted({t.mode for t in tallies})
+    if len(modes) > 1:
+        raise ValueError(f"cannot merge tallies of modes {modes}")
     counts: dict[str, int] = {}
     for t in tallies:
         for species, c in t.counts.items():
@@ -56,7 +59,9 @@ def report(
 ) -> list[GroupReportRow]:
     """One row per group plus a pooled Total row (estimated on the merged
     tally, not by summing per-group estimates). The Total row is always
-    last; group rows are sorted by `sort_by` with group-key tiebreak."""
+    last; group rows are sorted by `sort_by`, one of SORT_COLUMNS, with
+    group-key tiebreak."""
+    known(sort_by, SORT_COLUMNS, "sort column")
     if not dataset.groups:
         raise EmptyDataset("grouped dataset has no groups")
     rows = [
@@ -78,10 +83,8 @@ def group_xy(
 ) -> tuple[list[float], list[float]]:
     """Per-group (x, y) value pairs in group-key order. x is "ttr", "str",
     or "one-minus-ttr"; y is "coverage" or "s_hat"."""
-    if x not in X_COLUMNS:
-        raise ValueError(f"unknown x column {x!r}")
-    if y not in Y_COLUMNS:
-        raise ValueError(f"unknown y column {y!r}")
+    known(x, X_COLUMNS, "x column")
+    known(y, Y_COLUMNS, "y column")
     rows = [summarize(key, dataset.groups[key], small_sample_correction)
             for key in sorted(dataset.groups)]
     xs = [row.ttr_or_str for row in rows]

@@ -4,14 +4,18 @@ are the `--sort-by` columns.
 
 They live in this module, which imports no numpy, so that the parser is
 built without loading the layers, and the package resolves them from here.
+The library entries that take one of these names check it with `known`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 ABUNDANCE = "abundance"
 INCIDENCE = "incidence"
+
+MODES = (ABUNDANCE, INCIDENCE)
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -40,3 +44,13 @@ class GroupReportRow:
     @property
     def used_fallback(self) -> bool:
         return self.estimator_name.endswith("-bc")
+
+
+SORT_COLUMNS = tuple(f.name for f in fields(GroupReportRow))
+
+
+def known(value: str, values: Sequence[str], what: str) -> str:
+    """`value` if it is one of `values`; else a ValueError naming it."""
+    if value not in values:
+        raise ValueError(f"unknown {what} {value!r}")
+    return value

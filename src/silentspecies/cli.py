@@ -21,18 +21,17 @@ import stat
 import sys
 import warnings
 from contextlib import ExitStack
-from dataclasses import fields
 from io import TextIOWrapper
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .choices import (
     ABUNDANCE,
     DISTRIBUTIONS,
-    INCIDENCE,
+    MODES,
+    SORT_COLUMNS,
     UNIFORM,
     X_COLUMNS,
     Y_COLUMNS,
-    GroupReportRow,
 )
 from .errors import SilentSpeciesError
 from .version import __version__
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
     from .tally import Observations
 
 DEFAULT_SEED = 42
-_SORT_COLUMNS = [f.name for f in fields(GroupReportRow)]
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -73,8 +71,7 @@ def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
     parser.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED,
                         help="seed for all randomness (default: %(default)s)")
     if mode:
-        parser.add_argument("--mode", choices=[ABUNDANCE, INCIDENCE],
-                            default=ABUNDANCE)
+        parser.add_argument("--mode", choices=MODES, default=ABUNDANCE)
 
 
 def _sizes(text: str) -> list[int]:
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the (m-1)/m small-sample factor (incidence)")
         p.add_argument("--format", choices=["csv", "markdown", "json"],
                        default=default_fmt)
-        p.add_argument("--sort-by", default="coverage", choices=_SORT_COLUMNS,
+        p.add_argument("--sort-by", default="coverage", choices=SORT_COLUMNS,
                        help="report column to sort by (default: %(default)s)")
         p.add_argument("--ascending", action="store_true")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choices import ABUNDANCE, INCIDENCE
+from .choices import ABUNDANCE, INCIDENCE, MODES, known
 from .errors import EmptyDataset, InsufficientSamples
 from .tally import Tally
 
@@ -59,8 +59,10 @@ def estimate(
 
     With `correction` in incidence mode the unseen-species estimate is
     scaled by (m-1)/m, the standard small-sample factor for m samples.
-    Abundance mode ignores `correction` and `m`.
+    Abundance mode ignores `correction` and `m`. An unknown mode raises
+    ValueError.
     """
+    known(mode, MODES, "mode")
     if f1 == 0:
         f0_hat, fallback = 0.0, False
     elif f2 > 0:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choices import ABUNDANCE, INCIDENCE
+from .choices import ABUNDANCE, INCIDENCE, MODES, known
 from .errors import EmptyDataset, SchemaError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -146,15 +146,6 @@ class Observations:
             return self.columns[name]
         return Column([""], np.zeros(len(self), dtype=np.int64), 0)
 
-    def select(self, index: np.ndarray) -> Observations:
-        """The records at `index`, sharing this table's labels."""
-        return Observations(
-            {name: col._replace(codes=col.codes[index])
-             for name, col in self.columns.items()},
-            self.counts[index],
-            self.rows[index],
-        )
-
 
 @dataclass(frozen=True)
 class Tally:
@@ -217,28 +208,27 @@ def _distinct(ordered: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _tally(
-    records: Observations | Iterable[ObservationRecord], mode: str
-) -> Tally:
-    """The one tally reduction behind tally_abundance and tally_incidence."""
-    obs = _observations(records)
-    _check(obs, mode)
-    present = obs.counts > 0
+def _tally(obs: Observations, part: slice | np.ndarray, mode: str) -> Tally:
+    """The one tally reduction: the records at index `part` of a table that
+    _check passed in `mode`."""
+    given = obs.counts[part]
+    present = given > 0
     column = obs.column("species_id")
+    codes = column.codes[part][present]
     if mode == ABUNDANCE:
-        total = sum(obs.counts.tolist())
+        total = sum(given.tolist())
         if total > _INT64_MAX:
             raise SchemaError(f"total count {total} exceeds the int64 range")
-        species, index = np.unique(column.codes[present], return_inverse=True)
+        species, index = np.unique(codes, return_inverse=True)
         counts = np.zeros(len(species), dtype=np.int64)
-        np.add.at(counts, index, obs.counts[present])
+        np.add.at(counts, index, given[present])
     else:
         n_species = max(len(column.labels), 1)  # 1 for an empty table
         # Sorted, not plain np.unique: on numpy >= 2.3 that hashes, which on
         # these int64 keys is about 20 times slower than a sort, and it
         # imports numpy.ma. With return_counts, np.unique sorts.
-        pairs = _distinct(np.sort(obs.column("sample_id").codes[present]
-                                  * n_species + column.codes[present]))
+        pairs = _distinct(np.sort(obs.column("sample_id").codes[part][present]
+                                  * n_species + codes))
         species, counts = np.unique(pairs % n_species, return_counts=True)
         total = len(_distinct(pairs // n_species))
     if not len(species):
@@ -252,7 +242,9 @@ def tally_abundance(
 ) -> Tally:
     """Sum occurrence counts per species. Zero-count records are dropped;
     an input that is empty after dropping them raises EmptyDataset."""
-    return _tally(records, ABUNDANCE)
+    obs = _observations(records)
+    _check(obs, ABUNDANCE)
+    return _tally(obs, slice(None), ABUNDANCE)
 
 
 def tally_incidence(
@@ -263,18 +255,18 @@ def tally_incidence(
     Duplicate (sample, species) observations collapse to a single incidence:
     a species used many times within one sample is still a single presence.
     """
-    return _tally(records, INCIDENCE)
+    obs = _observations(records)
+    _check(obs, INCIDENCE)
+    return _tally(obs, slice(None), INCIDENCE)
 
 
 def tally_records(
     records: Observations | Iterable[ObservationRecord], mode: str
 ) -> Tally:
     """Abundance or incidence tally of `records`, as `mode` says."""
-    if mode == ABUNDANCE:
+    if known(mode, MODES, "mode") == ABUNDANCE:
         return tally_abundance(records)
-    if mode == INCIDENCE:
-        return tally_incidence(records)
-    raise ValueError(f"unknown mode {mode!r}")
+    return tally_incidence(records)
 
 
 def spectrum(tally: Tally) -> dict[int, int]:
@@ -298,8 +290,10 @@ def group_by(
     A column the table lacks raises SchemaError. Every record must carry a
     value; a missing value raises SchemaError naming the row, as does any
     record the mode cannot tally. Groups whose records are all zero-count
-    are dropped.
+    are dropped. The table is checked once, and each group is tallied by
+    the same reduction as the whole table, over its records' index.
     """
+    known(mode, MODES, "mode")
     obs = _observations(records)
     if group_field not in obs.columns and len(obs):  # no records, no groups
         raise SchemaError(f"the input has no group column {group_field!r}")
@@ -317,7 +311,7 @@ def group_by(
     for code, key in enumerate(column.labels):
         part = order[bounds[code]:bounds[code + 1]]
         if (obs.counts[part] > 0).any():  # else only zero-count placeholders
-            groups[key] = tally_records(obs.select(part), mode)
+            groups[key] = _tally(obs, part, mode)
     if not groups:
         raise EmptyDataset("all groups empty after dropping zero counts")
     return GroupedDataset(groups)

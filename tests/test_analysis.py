@@ -15,6 +15,8 @@ from silentspecies import (
     per_group_correlation,
     report,
     summarize,
+    tally_abundance,
+    tally_incidence,
 )
 from silentspecies.io import metadata, write_report_csv
 from silentspecies.synth import PopulationSpec, generate, sample
@@ -41,6 +43,13 @@ class TestMerge:
         assert merged.counts == {"a": 3, "b": 1}
         assert merged.total == 7
 
+    def test_mixed_modes_refused(self):
+        # Token counts and sample counts do not add up to either.
+        records = [ObservationRecord("m1", "a", 2), ObservationRecord("m2", "a"),
+                   ObservationRecord("m1", "b", 2)]
+        with pytest.raises(ValueError, match="'abundance', 'incidence'"):
+            merge_tallies([tally_abundance(records), tally_incidence(records)])
+
 
 class TestReport:
     def test_total_is_pooled_not_summed(self):
@@ -65,6 +74,11 @@ class TestReport:
             total.coverage,
             total.s_hat,
         )
+
+    def test_unknown_sort_column_rejected(self):
+        ds = abundance_dataset({"g1": {"a": 2, "b": 1}})
+        with pytest.raises(ValueError, match="^unknown sort column 'nope'$"):
+            report(ds, sort_by="nope")
 
     def test_default_sort_is_coverage_descending(self):
         ds = abundance_dataset(

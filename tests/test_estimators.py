@@ -178,6 +178,11 @@ def test_all_singletons_triggers_fallback():
     assert est.used_fallback
 
 
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        estimate(3, 1, 1, "bogus")
+
+
 def test_coverage_of_rejects_nonpositive():
     with pytest.raises(ValueError):
         coverage_of(3, 0)

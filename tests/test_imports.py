@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter, so that modules imported by other
 tests cannot hide a name that resolves only by accident.
 """
 
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -164,6 +165,28 @@ COMMANDS = {
 # int64 needs it.
 NEVER = {"decimal"}
 
+# Top-level import name -> the installed distributions that provide it. The
+# stdlib, and Cython's `_cython_*` and `cython_runtime` modules, have none.
+OWNERS = importlib.metadata.packages_distributions()
+
+
+def distributions(modules: set[str]) -> set[str]:
+    return {dist for name in modules
+            for dist in OWNERS.get(name.partition(".")[0], ())}
+
+
+@pytest.fixture(scope="module")
+def needs_only_numpy():
+    """Assert that imported modules need no distribution but numpy at run
+    time, beside this package and what a bare interpreter imports (`.pth`
+    files may import some, such as certifi)."""
+    ignored = (distributions(imported("pass")[1])
+               | set(OWNERS.get("silentspecies", ())))
+
+    def check(modules: set[str]) -> None:
+        assert distributions(modules) - ignored == {"numpy"}
+    return check
+
 
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
@@ -178,24 +201,26 @@ def tiny_csv(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", sorted(COMMANDS))
-def test_each_command_imports_only_its_layers(case, tiny_csv):
+def test_each_command_imports_only_its_layers(case, tiny_csv,
+                                              needs_only_numpy):
     argv, forbidden = COMMANDS[case]
     returncode, modules = imported(RUN_CLI, *argv, "--input", str(tiny_csv),
                                    "--output", os.devnull)
     assert returncode == 0
-    assert "numpy" in modules
     assert not modules & (forbidden | NEVER)
+    needs_only_numpy(modules)
 
 
 SYNTH_FORBIDDEN = (layers("resampling", "stats", "analysis", "estimators")
                    | {"concurrent.futures"} | NEVER)
 
 
-def test_synth_imports_only_its_layers():
+def test_synth_imports_only_its_layers(needs_only_numpy):
     returncode, modules = imported(RUN_CLI, "synth", "--species", "10",
                                    "--tokens", "50", "--output", os.devnull)
     assert returncode == 0
     assert not modules & SYNTH_FORBIDDEN
+    needs_only_numpy(modules)
 
 
 # synth --sites arguments per site sampler; detection < 1 runs the thinning.
@@ -207,8 +232,9 @@ SYNTH_SITES = {
 
 
 @pytest.mark.parametrize("sampler", sorted(SYNTH_SITES))
-def test_synth_sites_import_only_its_layers(sampler):
+def test_synth_sites_import_only_its_layers(sampler, needs_only_numpy):
     returncode, modules = imported(RUN_CLI, "synth", *SYNTH_SITES[sampler],
                                    "--sites", "20", "--output", os.devnull)
     assert returncode == 0
     assert not modules & SYNTH_FORBIDDEN
+    needs_only_numpy(modules)

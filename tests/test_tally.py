@@ -18,6 +18,7 @@ from silentspecies import (
     tally_incidence,
     tally_records,
 )
+from silentspecies import tally as tally_module
 from silentspecies.io import read_records
 
 records_strategy = st.lists(
@@ -171,6 +172,25 @@ class TestGroupBy:
         ds = group_by(records, "sample_id", ABUNDANCE)
         assert {key: t.counts for key, t in ds.groups.items()} == {
             "m1": {"a": 1}}
+
+    def test_unknown_mode_rejected_before_the_table(self):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            group_by([rec("m1", "a", 0, g="x")], "g", "bogus")
+
+    @pytest.mark.parametrize("mode", [ABUNDANCE, INCIDENCE])
+    def test_table_checked_once_for_all_groups(self, monkeypatch, mode):
+        check, checked = tally_module._check, []
+
+        def counted(obs, mode):
+            checked.append(len(obs))
+            return check(obs, mode)
+
+        monkeypatch.setattr(tally_module, "_check", counted)
+        records = [rec("m1", "a", 2, genre="Reel"), rec("m2", "b", 1, genre="Jig"),
+                   rec("m1", "c", 1, genre="Polka"), rec("m2", "a", 1, genre="Reel")]
+        ds = group_by(records, "genre", mode)
+        assert list(ds.groups) == ["Reel", "Jig", "Polka"]
+        assert checked == [4]
 
     def test_zero_only_group_dropped(self):
         records = [rec("m1", "a", 1, genre="Reel"), rec("m2", "b", 0, genre="Jig")]
