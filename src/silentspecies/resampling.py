@@ -20,7 +20,7 @@ from .choices import ABUNDANCE, INCIDENCE
 from .errors import InvalidSize, SubsampleTooLarge
 from .estimators import _s_obs_f1_f2, estimate, estimate_tally
 from .streams import streams
-from .tally import Tally
+from .tally import Tally, _quantile
 
 THREADS_ENV = "SILENTSPECIES_THREADS"
 
@@ -327,7 +327,7 @@ def bootstrap_ci(
     alpha = (1.0 - level) / 2.0
 
     def interval(col: int, point_value: float) -> BootstrapResult:
-        lower, upper = np.quantile(stacked[:, col], [alpha, 1.0 - alpha])
+        lower, upper = _quantile(stacked[:, col], [alpha, 1.0 - alpha])
         return BootstrapResult(point=point_value, lower=float(lower),
                                upper=float(upper), level=level,
                                replicates=replicates, seed=seed)

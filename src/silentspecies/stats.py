@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, InsufficientPoints
 from .streams import streams
+from .tally import _quantile, _unique
 
 _BAND_LEVEL = 0.95  # the trend band's percentile interval
 
@@ -227,7 +228,7 @@ def polyfit(
 
     band = None
     if bootstrap_replicates > 0:
-        grid = np.unique(xa)
+        grid = _unique(xa)
         curves = np.empty((bootstrap_replicates, grid.size))
         warned = Counter()  # replicates per (category, message)
         with warnings.catch_warnings(record=True) as caught:
@@ -246,8 +247,8 @@ def polyfit(
         # A curve that holds an inf makes the interpolation warn; those
         # replicates are counted above.
         with np.errstate(invalid="ignore"):
-            lower = np.quantile(curves, alpha, axis=0)
-            upper = np.quantile(curves, 1.0 - alpha, axis=0)
+            lower = _quantile(curves, alpha)
+            upper = _quantile(curves, 1.0 - alpha)
         band = tuple(
             (float(g), float(lo), float(hi))
             for g, lo, hi in zip(grid, lower, upper)

@@ -95,7 +95,8 @@ class Observations:
         rows: Sequence[int],
     ) -> Observations:
         """Table of Python-int counts and rows; a count outside int64 raises
-        SchemaError naming its row."""
+        SchemaError naming its row. Rows in an int64 buffer, such as an
+        array("q"), are held without a copy."""
         try:
             count_array = np.asarray(counts, dtype=np.int64)
         except OverflowError:
@@ -206,6 +207,46 @@ def _distinct(ordered: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+# np.unique and np.quantile import numpy.ma (on numpy >= 2.3 np.unique calls
+# np.ma.is_masked, and np.quantile calls np.unique), which costs a command
+# over 1 MB of memory. The two helpers below give their results bit for bit
+# without it, over float arrays.
+
+
+def _unique(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float sequence: each entry of the sorted values
+    that differs from the one before it, and one NaN. Like np.unique it
+    sorts with numpy's default sort, so of equal -0.0 and +0.0, and of
+    several NaNs, it keeps the one that sort puts first."""
+    found = _distinct(np.sort(np.asarray(values, dtype=float)))
+    return found[:np.count_nonzero(~np.isnan(found)) + 1]  # NaNs sort last
+
+
+def _quantile(values: np.ndarray, q: float | Sequence[float]) -> np.ndarray:
+    """np.quantile(values, q, axis=0) of floats, for q in [0, 1] and
+    either a sequence q or 2-D values, so that the result is an array: the
+    linear (Hyndman-Fan type 7) method, step for step as numpy takes it.
+    A copy is partitioned at numpy's own kth, so that ties of -0.0 and +0.0
+    land where numpy's land; the neighbours are interpolated as numpy's
+    _lerp does; and the result is NaN, the last entry after the partition,
+    wherever a column holds a NaN."""
+    arr = np.array(values, dtype=float)
+    n = len(arr)
+    virtual = (n - 1) * np.asarray(q, dtype=float)
+    last = virtual >= n - 1  # both neighbours are the last entry
+    below = np.where(last, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(last, -1, below + 1)
+    arr.partition(sorted({0, -1, *below.ravel().tolist(),
+                          *above.ravel().tolist()}), axis=0)
+    gamma = virtual - below
+    lower, upper = arr[below], arr[above]
+    step = upper - lower
+    result = lower + step * gamma
+    np.subtract(upper, step * (1 - gamma), out=result, where=gamma >= 0.5)
+    np.copyto(result, arr[-1], where=np.isnan(arr[-1]))
+    return result
 
 
 def _tally(obs: Observations, part: slice | np.ndarray, mode: str) -> Tally:

@@ -135,17 +135,14 @@ COMMANDS = {
                | {"concurrent.futures"}),
     "estimate": (["estimate"], layers("resampling", "stats", "synth")),
     "tally": (["tally"], layers("resampling", "stats", "synth")),
-    # Plain np.unique imports numpy.ma; the incidence tally sorts instead.
-    # bootstrap and correlate import it anyway, through np.quantile.
     "report-incidence": (["report", "--mode", "incidence", "--group-by",
                           "genre"],
                          layers("resampling", "stats", "synth")
-                         | {"concurrent.futures", "numpy.ma"}),
+                         | {"concurrent.futures"}),
     "estimate-incidence": (["estimate", "--mode", "incidence"],
-                           layers("resampling", "stats", "synth")
-                           | {"numpy.ma"}),
+                           layers("resampling", "stats", "synth")),
     "tally-incidence": (["tally", "--mode", "incidence"],
-                        layers("resampling", "stats", "synth") | {"numpy.ma"}),
+                        layers("resampling", "stats", "synth")),
     "bootstrap": (["bootstrap", "--replicates", "100"],
                   layers("stats", "synth", "analysis")),
     "bootstrap-incidence": (["bootstrap", "--mode", "incidence",
@@ -160,10 +157,18 @@ COMMANDS = {
                              os.devnull],
                             layers("resampling", "synth")
                             | {"concurrent.futures"}),
+    # Without a band the trend file's grid is the sorted distinct x alone.
+    "correlate-no-band": (["correlate", "--group-by", "genre",
+                           "--trend-replicates", "0", "--trend-out",
+                           os.devnull],
+                          layers("resampling", "synth")
+                          | {"concurrent.futures"}),
 }
 # No successful command imports decimal: only the error for a count beyond
-# int64 needs it.
-NEVER = {"decimal"}
+# int64 needs it. Nor numpy.ma, which np.unique and np.quantile import and
+# which costs over 1 MB: the package's own `_unique` and `_quantile` stand
+# in for them.
+NEVER = {"decimal", "numpy.ma"}
 
 # Top-level import name -> the installed distributions that provide it. The
 # stdlib, and Cython's `_cython_*` and `cython_runtime` modules, have none.
@@ -211,8 +216,10 @@ def test_each_command_imports_only_its_layers(case, tiny_csv,
     needs_only_numpy(modules)
 
 
+# synth reads no CSV, so it does not load the array module that
+# read_records collects row numbers in.
 SYNTH_FORBIDDEN = (layers("resampling", "stats", "analysis", "estimators")
-                   | {"concurrent.futures"} | NEVER)
+                   | {"concurrent.futures", "array"} | NEVER)
 
 
 def test_synth_imports_only_its_layers(needs_only_numpy):

@@ -1,9 +1,11 @@
 import csv
 import io as stdio
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from silentspecies import (
     ABUNDANCE,
@@ -344,3 +346,69 @@ def test_columnar_tally_matches_counter_oracle(build, records, mode):
     ds = group_by(table, "genre", mode)
     assert {key: (t.counts, t.total) for key, t in ds.groups.items()} == (
         expected_groups)
+
+
+# np.quantile and np.unique import numpy.ma; the package's `_quantile` and
+# `_unique` stand in for them and must give their bits, signed zeros and
+# the sign of a NaN included.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0,
+                  -1.0]
+special_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+def same_bits(found, expected):
+    found, expected = np.asarray(found), np.asarray(expected)
+    assert found.dtype == expected.dtype == np.float64
+    assert found.shape == expected.shape
+    assert found.tobytes() == expected.tobytes(), (found, expected)
+
+
+@given(st.lists(special_floats, min_size=1, max_size=80),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+@example([0.0, -0.0, 0.0, 1.0], 0.95)
+@example([-0.0, 0.0, -0.0, 0.0, 2.0, -0.0], 0.5)
+@example([1.0, -math.nan, 2.0, math.nan], 0.95)
+@example([math.inf, -math.inf, 0.0], 0.5)
+@example([3.0], 0.95)
+def test_quantile_as_bootstrap_ci_calls_it(values, level):
+    # bootstrap_ci: one replicate column, q = [alpha, 1 - alpha].
+    alpha = (1.0 - level) / 2.0
+    values = np.array(values)
+    with np.errstate(all="ignore"):
+        same_bits(tally_module._quantile(values, [alpha, 1.0 - alpha]),
+                  np.quantile(values, [alpha, 1.0 - alpha]))
+
+
+@st.composite
+def replicate_curves(draw):
+    """replicates x grid points, as polyfit's band holds them."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    width = draw(st.integers(min_value=1, max_value=5))
+    flat = draw(st.lists(special_floats, min_size=rows * width,
+                         max_size=rows * width))
+    return np.array(flat).reshape(rows, width)
+
+
+@given(replicate_curves(),
+       st.one_of(st.sampled_from([0.025, 0.975]),
+                 st.floats(min_value=0.0, max_value=1.0)))
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]), 0.975)
+@example(np.array([[math.nan], [1.0], [-math.nan], [2.0]]), 0.025)
+@example(np.array([[math.inf, -math.inf], [math.inf, math.inf]]), 0.975)
+def test_quantile_as_the_band_calls_it(curves, q):
+    # polyfit's band: along axis 0, one scalar q per call.
+    with np.errstate(all="ignore"):
+        same_bits(tally_module._quantile(curves, q),
+                  np.quantile(curves, q, axis=0))
+
+
+@given(st.lists(special_floats, max_size=80))
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([1.0, -0.0, 0.0, -0.0, 0.0])
+@example([math.nan, -math.nan, 1.0, math.nan])
+@example([-math.nan, math.nan, -math.nan])
+def test_unique_floats_match_numpy(values):
+    same_bits(tally_module._unique(values), np.unique(np.array(values)))
