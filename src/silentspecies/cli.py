@@ -342,20 +342,21 @@ def _cmd_synth(args, meta) -> None:
     )
     population = synth.generate(spec)
     if args.sites is not None:
-        table = synth.sample_site_records(
+        # Checked now, and drawn block by block as the writer asks.
+        tables = synth._site_blocks(
             population, args.sites, args.per_site, args.detection, args.seed
         )
     else:
         tally = synth.sample(population, args.tokens, args.seed)
         species = sorted(tally.counts)
         n = len(species)
-        table = Observations.of(
+        tables = [Observations.of(
             {"sample_id": Column.of({"_default": 0}, [0] * n),
              "species_id": Column.of(dict(zip(species, range(n))), range(n))},
             [tally.counts[s] for s in species],
             range(1, n + 1),
-        )
-    _write((args.output, lambda f: io.write_records_csv(table, f, meta)))
+        )]
+    _write((args.output, lambda f: io.write_record_blocks(tables, f, meta)))
 
 
 def _show_warning(message, category, filename, lineno, file=None,

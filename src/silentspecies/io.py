@@ -28,6 +28,7 @@ from .tally import (
     Column,
     ObservationRecord,
     Observations,
+    _distinct,
     _observations,
     _shown,
     _unique,
@@ -217,25 +218,54 @@ def write_records_csv(
     meta: Mapping[str, str],
 ) -> None:
     """The sample_id, species_id and count columns of a table, as long
-    format. A record list is converted to a table once.
+    format. A record list is converted to a table once."""
+    write_record_blocks([_observations(records)], f, meta)
+
+
+def write_record_blocks(
+    blocks: Iterable[Observations],
+    f: TextIO,
+    meta: Mapping[str, str],
+) -> None:
+    """The long format of the tables that `blocks` yields, end to end: one
+    header, then each table's rows, written as soon as it arrives.
 
     Rows are written as _write_table writes them, but each distinct label
-    is quoted once and each distinct count formatted once; a chunk of rows
-    is then their texts gathered from object arrays by the codes."""
-    obs = _observations(records)
-    sample, species = obs.column("sample_id"), obs.column("species_id")
+    is quoted once: a table's sample_id labels with that table, and its
+    species_id labels only when they are not the list the table before it
+    held, as the blocks of one sampling share one list."""
     _write_table(f, meta, LONG_COLUMNS, ())
-    sample_fields = _leading_fields(sample.labels)
-    species_fields = _leading_fields(species.labels)
-    texts: dict[int, str] = {}
+    species_labels: list[str] | None = None
+    for obs in blocks:
+        labels = obs.column("species_id").labels
+        if labels is not species_labels:
+            species_labels, species_fields = labels, _leading_fields(labels)
+        _write_rows(f, obs, _leading_fields(obs.column("sample_id").labels),
+                    species_fields)
+
+
+def _write_rows(
+    f: TextIO,
+    obs: Observations,
+    sample_fields: np.ndarray,
+    species_fields: np.ndarray,
+) -> None:
+    """The table's data lines, _CHUNK_ROWS at a time, from its labels'
+    leading fields: each chunk is a rows x 3 object table of texts, joined
+    once. A chunk's count texts are made once per distinct count and
+    gathered by searchsorted."""
+    sample, species = obs.column("sample_id"), obs.column("species_id")
     for start in range(0, len(obs), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        counts = [texts.get(count) or texts.setdefault(count, f"{count}\n")
-                  for count in obs.counts[part].tolist()]
-        rows = (sample_fields[sample.codes[part]]
-                + species_fields[species.codes[part]]
-                + np.array(counts, dtype=object))
-        f.write("".join(rows.tolist()))
+        counts = obs.counts[part]
+        distinct = _distinct(np.sort(counts))
+        texts = np.array([f"{count}\n" for count in distinct.tolist()],
+                         dtype=object)
+        table = np.empty((len(counts), 3), dtype=object)
+        table[:, 0] = sample_fields[sample.codes[part]]
+        table[:, 1] = species_fields[species.codes[part]]
+        table[:, 2] = texts[distinct.searchsorted(counts)]
+        f.write("".join(table.ravel().tolist()))
 
 
 def _leading_fields(labels: Sequence[str]) -> np.ndarray:

@@ -3,7 +3,7 @@ oracle for validating the estimators end to end."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +101,52 @@ def sample_site_records(
     made by whichever method is cheaper: with fewer than half as many tokens
     as species, per_site_n categorical tokens (uniforms looked up in the
     CDF, then counted), which costs O(per_site_n log species) and is done
-    for all sites in one batch; otherwise numpy's multinomial, which costs
-    O(species). With `detection` < 1, the site's stream then thins the
+    for a block of sites in one batch; otherwise numpy's multinomial, which
+    costs O(species). With `detection` < 1, the site's stream then thins the
     counts it drew: the multinomial sampler thins each site as it draws it,
     and the categorical one replays each site's stream past its uniforms
-    after the batch. `streams` sets one generator to each site's stream in
-    turn, so no per-site generator is held at any detection."""
-    if m < 1:
-        raise InvalidSpec(f"m must be >= 1, got {m}")
+    after the block's batch. `streams` sets one generator to each site's
+    stream in turn, so no per-site generator is held at any detection.
+    The table is the blocks of _site_blocks end to end."""
+    labels: list[str] = []
+    sites: list[np.ndarray] = []
+    species: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for block in _site_blocks(population, m, per_site_n, detection, seed):
+        sample = block.columns["sample_id"]
+        sites.append(sample.codes + len(labels))
+        labels += sample.labels
+        species.append(block.columns["species_id"].codes)
+        counts.append(block.counts)
+    columns = {
+        "sample_id": Column(labels, np.concatenate(sites), -1),
+        "species_id": Column(block.columns["species_id"].labels,
+                             np.concatenate(species), -1),
+    }
+    counts = np.concatenate(counts)
+    return Observations.of(columns, counts, np.arange(1, len(counts) + 1))
+
+
+# Sites drawn in one batch: a block holds about this many uniforms
+# (categorical sampler) or multinomial cells, however many sites are asked
+# for, so that writing the blocks as they come takes memory flat in m.
+_BLOCK_TOKENS = 2**15
+
+
+def _site_blocks(
+    population: np.ndarray,
+    m: int,
+    per_site_n: int,
+    detection: float,
+    seed: int,
+) -> Iterator[Observations]:
+    """sample_site_records' table in blocks of consecutive sites, drawn as
+    they are asked for. Each block is a table of its own sites' rows: its
+    sample_id labels are those sites', its species_id labels one list
+    shared by every block, and its rows carry on the numbering. Every
+    argument is checked now, before the first block is asked for."""
+    if not 1 <= m <= _INT64_MAX:
+        raise InvalidSpec(f"m must be in [1, {_INT64_MAX}] (int64), got {m}")
     if not 1 <= per_site_n <= _INT64_MAX:
         raise InvalidSpec(f"per_site_n must be in [1, {_INT64_MAX}] (int64), "
                           f"got {per_site_n}")
@@ -116,54 +154,61 @@ def sample_site_records(
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
-    # Measured per site over 500 and 5,000 species (uniform, zipf and
-    # lognormal), the two costs cross at per_site_n / species of 0.4-0.75.
-    if 2 * per_site_n < k:
-        sites, species, counts = _categorical_sites(
-            population, streams(seed, (), range(m)), m, per_site_n)
-        if detection < 1.0:
-            # random() takes one 64-bit output per double, so advancing a
-            # site's stream by per_site_n resumes it where its uniforms
-            # ended. A zero count takes nothing from the stream, so thinning
-            # only the counts seen draws what thinning the whole vector does.
-            bounds = np.searchsorted(sites, np.arange(m + 1))
-            for rng, lo, hi in zip(streams(seed, (), range(m)),
-                                   bounds[:-1], bounds[1:]):
-                rng.bit_generator.advance(per_site_n)
-                counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
-    else:
-        sites, species, counts = _multinomial_sites(
-            population, streams(seed, (), range(m)), m, per_site_n, detection)
-    if detection < 1.0:
-        seen = np.flatnonzero(counts)
-        sites, species, counts = sites[seen], species[seen], counts[seen]
+    species_labels = _species_labels(k)
     site_width = max(4, len(str(m)))
-    columns = {
-        "sample_id": Column(
-            [f"site{site:0{site_width}d}" for site in range(1, m + 1)],
-            sites, -1),
-        "species_id": Column(_species_labels(k), species, -1),
-    }
-    return Observations.of(columns, counts, np.arange(1, len(sites) + 1))
+    step = max(1, _BLOCK_TOKENS // min(per_site_n, k))
+    # Divided by its last entry, which is then exactly 1, so no uniform in
+    # [0, 1) falls past the last species.
+    cdf = np.cumsum(population)
+    cdf /= cdf[-1]
+
+    def blocks() -> Iterator[Observations]:
+        rows = 0
+        for lo in range(0, m, step):
+            block = range(lo, min(lo + step, m))
+            # Measured per site over 500 and 5,000 species (uniform, zipf
+            # and lognormal), the two costs cross at per_site_n / species of
+            # 0.4-0.75.
+            if 2 * per_site_n < k:
+                sites, species, counts = _categorical_sites(
+                    cdf, seed, block, per_site_n, detection)
+            else:
+                sites, species, counts = _multinomial_sites(
+                    population, seed, block, per_site_n, detection)
+            if detection < 1.0:
+                seen = np.flatnonzero(counts)
+                sites, species, counts = (sites[seen], species[seen],
+                                          counts[seen])
+            columns = {
+                "sample_id": Column(
+                    [f"site{site:0{site_width}d}"
+                     for site in range(block.start + 1, block.stop + 1)],
+                    sites, -1),
+                "species_id": Column(species_labels, species, -1),
+            }
+            yield Observations.of(columns, counts,
+                                  np.arange(rows + 1, rows + len(counts) + 1))
+            rows += len(counts)
+
+    return blocks()
 
 
 def _categorical_sites(
-    population: np.ndarray,
-    rngs: Iterable[np.random.Generator],
-    m: int,
+    cdf: np.ndarray,
+    seed: int,
+    block: range,
     per_site_n: int,
+    detection: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(site, species, count) of every species seen, site by site and
-    species ascending: each site's per_site_n uniforms, drawn on its own
-    generator, are looked up in the CDF in one batch for all sites."""
-    # Divided by its last entry, which is then exactly 1, so no uniform in
-    # [0, 1) falls past the last species. side="right": a uniform equal to a
-    # CDF entry belongs to the next species, so a species of probability 0
-    # is never drawn.
-    cdf = np.cumsum(population)
-    cdf /= cdf[-1]
-    uniforms = np.empty((m, per_site_n))
-    for site, rng in enumerate(rngs):
+    """(site in the block, species, count) of every species seen, site by
+    site and species ascending: each site's per_site_n uniforms, drawn on
+    its own stream, are looked up in the CDF in one batch for the block.
+    side="right": a uniform equal to a CDF entry belongs to the next
+    species, so a species of probability 0 is never drawn. When
+    `detection` < 1, each site's stream is then replayed to thin its counts
+    (a thinned count may be 0)."""
+    uniforms = np.empty((len(block), per_site_n))
+    for site, rng in enumerate(streams(seed, (), block)):
         rng.random(out=uniforms[site])
     uniforms.sort(axis=1)  # so that each site's tokens come out ascending
     tokens = cdf.searchsorted(uniforms, side="right").ravel()
@@ -173,32 +218,41 @@ def _categorical_sites(
     np.not_equal(tokens[1:], tokens[:-1], out=first[1:])
     first[::per_site_n] = True
     starts = np.flatnonzero(first)
-    return (starts // per_site_n, tokens[starts],
-            np.diff(starts, append=tokens.size))
+    sites = starts // per_site_n
+    counts = np.diff(starts, append=tokens.size)
+    if detection < 1.0:
+        # random() takes one 64-bit output per double, so advancing a site's
+        # stream by per_site_n resumes it where its uniforms ended. A zero
+        # count takes nothing from the stream, so thinning only the counts
+        # seen draws what thinning the whole vector does.
+        bounds = np.searchsorted(sites, np.arange(len(block) + 1))
+        for rng, lo, hi in zip(streams(seed, (), block),
+                               bounds[:-1], bounds[1:]):
+            rng.bit_generator.advance(per_site_n)
+            counts[lo:hi] = rng.binomial(counts[lo:hi], detection)
+    return sites, tokens[starts], counts
 
 
 def _multinomial_sites(
     population: np.ndarray,
-    rngs: Iterable[np.random.Generator],
-    m: int,
+    seed: int,
+    block: range,
     per_site_n: int,
     detection: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(site, species, count) of every species seen, site by site and
-    species ascending: one multinomial draw per site, whose non-zero counts
-    the same generator then thins when `detection` < 1 (a thinned count may
-    be 0)."""
-    # Rows per site, allocated first: numpy refuses an impossible m at once,
-    # where drawing site after site would run for ever.
-    sizes = np.empty(m, dtype=np.int64)
+    """(site in the block, species, count) of every species seen, site by
+    site and species ascending: one multinomial draw per site, whose
+    non-zero counts the same stream then thins when `detection` < 1 (a
+    thinned count may be 0)."""
+    sizes = np.empty(len(block), dtype=np.int64)
     species: list[np.ndarray] = []
     counts: list[np.ndarray] = []
-    for site, rng in enumerate(rngs):
+    for site, rng in enumerate(streams(seed, (), block)):
         draws = rng.multinomial(per_site_n, population)
         seen = np.flatnonzero(draws)
         sizes[site] = len(seen)
         species.append(seen)
         counts.append(draws[seen] if detection == 1.0
                       else rng.binomial(draws[seen], detection))
-    sites = np.repeat(np.arange(m), sizes)
+    sites = np.repeat(np.arange(len(block)), sizes)
     return sites, np.concatenate(species), np.concatenate(counts)

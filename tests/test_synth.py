@@ -117,10 +117,16 @@ class TestSampleSites:
         records = sample_site_records(probs, 8, 30, seed=3)
         assert tally_incidence(records) == tally_incidence(sample_site_records(probs, 8, 30, seed=3))
 
-    @pytest.mark.parametrize("detection", [1.0, 0.5])
-    def test_table_matches_per_site_record_loop(self, detection):
+    @pytest.mark.parametrize("detection, budget", [
+        (1.0, None), (0.5, None), (1.0, 150), (0.5, 150),
+    ], ids=["1.0", "0.5", "1.0-blocks", "0.5-blocks"])
+    def test_table_matches_per_site_record_loop(self, detection, budget,
+                                                monkeypatch):
         # Over 60 species, 29 tokens a site are drawn as categorical tokens
-        # and 30, half the species, by a multinomial.
+        # and 30, half the species, by a multinomial. The default budget
+        # draws the 12 sites in one block; one of 150 tokens, in blocks of 5.
+        if budget is not None:
+            monkeypatch.setattr(synth, "_BLOCK_TOKENS", budget)
         probs = generate(PopulationSpec(60, "zipf", alpha=1.1))
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
