@@ -178,6 +178,8 @@ def _read_records(args: argparse.Namespace) -> Observations:
     if not args.stdin:
         with open(args.input, **_DECODING) as f:
             return io.read_records(f)
+    if sys.stdin is None:  # started with descriptor 0 closed
+        raise OSError("standard input is closed")
     if not hasattr(sys.stdin, "buffer"):  # a text stream with no bytes under it
         return io.read_records(sys.stdin)
     f = TextIOWrapper(sys.stdin.buffer, **_DECODING)
@@ -204,6 +206,8 @@ def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
     one cannot be opened, the files this call created are removed and
     nothing is written. A regular file is truncated just before it is
     written; a FIFO or a device is written as it is."""
+    if sys.stdout is None and not all(path for path, _ in outputs):
+        raise OSError("standard output is closed")  # descriptor 1 was closed
     created: list[str] = []
     with ExitStack() as stack:
         try:
@@ -331,7 +335,6 @@ def _cmd_correlate(args, meta) -> None:
 
 def _cmd_synth(args, meta) -> None:
     from . import io, synth
-    from .tally import Column, Observations
 
     spec = synth.PopulationSpec(
         s_true=args.species,
@@ -347,15 +350,7 @@ def _cmd_synth(args, meta) -> None:
             population, args.sites, args.per_site, args.detection, args.seed
         )
     else:
-        tally = synth.sample(population, args.tokens, args.seed)
-        species = sorted(tally.counts)
-        n = len(species)
-        tables = [Observations.of(
-            {"sample_id": Column.of({"_default": 0}, [0] * n),
-             "species_id": Column.of(dict(zip(species, range(n))), range(n))},
-            [tally.counts[s] for s in species],
-            range(1, n + 1),
-        )]
+        tables = [synth._token_table(population, args.tokens, args.seed)]
     _write((args.output, lambda f: io.write_record_blocks(tables, f, meta)))
 
 

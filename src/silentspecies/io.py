@@ -26,10 +26,8 @@ from .errors import SchemaError
 from .tally import (
     _INT64_MAX,
     Column,
-    ObservationRecord,
     Observations,
     _distinct,
-    _observations,
     _shown,
     _unique,
 )
@@ -210,16 +208,6 @@ def _fmt(value: float) -> str:
 
 def _field_names(cls: type) -> list[str]:
     return [field.name for field in fields(cls)]
-
-
-def write_records_csv(
-    records: Observations | Iterable[ObservationRecord],
-    f: TextIO,
-    meta: Mapping[str, str],
-) -> None:
-    """The sample_id, species_id and count columns of a table, as long
-    format. A record list is converted to a table once."""
-    write_record_blocks([_observations(records)], f, meta)
 
 
 def write_record_blocks(

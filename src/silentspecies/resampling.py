@@ -62,14 +62,16 @@ class BootstrapResult:
 
 def resolve_workers(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SILENTSPECIES_THREADS
-    (0 = auto), else all CPUs; never more than the CPU count."""
+    (0 = auto; ASCII digits, as a CSV count), else all CPUs; never more than
+    the CPU count."""
     if threads is None:
         value = os.environ.get(THREADS_ENV, "0") or "0"
-        if not value.strip().isdecimal():
+        digits = value.strip()
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(
                 f"{THREADS_ENV} must be a non-negative integer, got {value!r}"
             )
-        threads = int(value)
+        threads = int(digits)
     elif threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     cpus = os.cpu_count() or 1
@@ -197,11 +199,13 @@ def _sample_coverage(f1: int, f2: int, total: int) -> float:
     return 1.0 - (f1 / total) * adj
 
 
-def _observed_weights(
-    values: np.ndarray, total: int, f1: int, f2: int
-) -> tuple[np.ndarray, float]:
-    """Detection-adjusted resampling weights of the observed species, and
-    the weight 1 - C_hat left to the unseen ones; not yet normalised.
+def _augmented_weights(
+    values: np.ndarray, total: int, f0_hat: float, f1: int, f2: int
+) -> tuple[np.ndarray, int, float]:
+    """Detection-adjusted resampling weights of the observed species, the
+    number round(f0_hat) of unseen ones, and the weight of each unseen one,
+    which share 1 - C_hat equally (0 when there are none); not yet
+    normalised.
 
     Resampling straight from the empirical frequencies loses singletons and
     biases every replicate's richness below the plug-in estimate; giving the
@@ -214,20 +218,17 @@ def _observed_weights(
     denom = float(undetected.sum())
     lam = (1.0 - c_hat) / denom if denom > 0 else 0.0
     p_obs = np.clip(rel * (1.0 - lam * (1.0 - rel) ** total), 0.0, None)
-    return p_obs, 1.0 - c_hat
+    f0 = int(round(f0_hat))
+    return p_obs, f0, (1.0 - c_hat) / f0 if f0 > 0 else 0.0
 
 
 def _augmented_probs(
     values: np.ndarray, total: int, f0_hat: float, f1: int, f2: int
 ) -> np.ndarray:
-    """Resampling probabilities over the observed species, then round(f0_hat)
-    unseen ones sharing the unseen weight equally."""
-    p_obs, unseen = _observed_weights(values, total, f1, f2)
-    f0 = int(round(f0_hat))
-    if f0 > 0:
-        probs = np.concatenate([p_obs, np.full(f0, unseen / f0)])
-    else:
-        probs = p_obs
+    """The augmented weights as probabilities: the observed species, then
+    the unseen ones."""
+    p_obs, f0, share = _augmented_weights(values, total, f0_hat, f1, f2)
+    probs = np.concatenate([p_obs, np.full(f0, share)])
     return probs / probs.sum()
 
 
@@ -238,14 +239,12 @@ def _presence_classes(
     per-sample presence rate: each class's size, and (classes x 4) its
     probabilities of being seen in 0, 1, 2 and 3 or more of m samples.
 
-    The rates are the augmented probabilities (`_augmented_probs`), scaled
+    The rates are the augmented weights (`_augmented_weights`), scaled
     so that the expected incidences total the tally's. Observed species of
     equal incidence count share a rate, and the round(f0_hat) unseen ones
     share one, so no per-species vector of the unseen is built.
     """
-    p_obs, unseen = _observed_weights(values, m, f1, f2)
-    f0 = int(round(f0_hat))
-    share = unseen / f0 if f0 > 0 else 0.0
+    p_obs, f0, share = _augmented_weights(values, m, f0_hat, f1, f2)
     scale = values.sum() / m / (p_obs.sum() + f0 * share)
     rates, groups = np.unique(np.clip(p_obs * scale, 0.0, 1.0),
                               return_counts=True)

@@ -39,7 +39,8 @@ class TrendFit:
     """Least-squares polynomial fit; coefficients in ascending powers of x.
 
     `band` holds (x, lower, upper) triples from a percentile bootstrap over
-    the input points, or None when no band was requested.
+    the input points, or None when no band was requested or fewer than half
+    the replicates determined their fit.
     """
 
     degree: int
@@ -117,13 +118,20 @@ def t_sf_two_sided(t: float, df: float) -> float:
     return betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
-    """Pearson r with least-squares slope/intercept and the two-sided
-    p-value for zero slope (t-test, n-2 df)."""
+def _xy(x: Sequence[float],
+        y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, checked to be 1-d and of equal length."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("x and y must be 1-d sequences of equal length")
+    return xa, ya
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
+    """Pearson r with least-squares slope/intercept and the two-sided
+    p-value for zero slope (t-test, n-2 df)."""
+    xa, ya = _xy(x, y)
     n = xa.size
     if n < 3:
         raise InsufficientPoints(f"need at least 3 points, got {n}")
@@ -211,14 +219,14 @@ def polyfit(
     year-valued inputs stay well conditioned; returned coefficients are in
     the original x, ascending powers. With bootstrap_replicates > 0, points
     are resampled with replacement and a 95% percentile band is evaluated at
-    the sorted distinct x values.
+    the sorted distinct x values. A resample of fewer than degree + 1
+    distinct x values does not determine its fit and is left out, with one
+    warning that counts them; when fewer than half the replicates remain,
+    the fit has no band.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be 1-d sequences of equal length")
+    xa, ya = _xy(x, y)
     if xa.size < degree + 1:
         raise InsufficientPoints(
             f"degree {degree} fit needs {degree + 1} points, got {xa.size}"
@@ -230,29 +238,40 @@ def polyfit(
     if bootstrap_replicates > 0:
         grid = _unique(xa)
         curves = np.empty((bootstrap_replicates, grid.size))
+        kept = 0  # curves[:kept]: the fitted replicates, in replicate order
         warned = Counter()  # replicates per (category, message)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for rep, rng in enumerate(
-                    streams(seed, (), range(bootstrap_replicates))):
+            for rng in streams(seed, (), range(bootstrap_replicates)):
                 idx = rng.integers(0, xa.size, size=xa.size)
-                curves[rep] = np.polynomial.polynomial.polyval(
+                if _unique(xa[idx]).size <= degree:
+                    continue
+                curves[kept] = np.polynomial.polynomial.polyval(
                     grid, _fit_one(xa[idx], ya[idx], degree))
+                kept += 1
                 warned.update({(w.category, str(w.message)) for w in caught})
                 caught.clear()
+        banded = 2 * kept >= bootstrap_replicates
+        if kept < bootstrap_replicates:
+            note = "" if banded else "; no band, as fewer than half remain"
+            warnings.warn(
+                f"{bootstrap_replicates - kept} of {bootstrap_replicates} "
+                f"trend replicates left out: fewer than {degree + 1} distinct "
+                f"x values{note}", stacklevel=2)
         for (category, message), count in warned.items():
             warnings.warn(f"{count} of {bootstrap_replicates} trend "
                           f"replicates: {message}", category, stacklevel=2)
-        alpha = (1.0 - _BAND_LEVEL) / 2.0
-        # A curve that holds an inf makes the interpolation warn; those
-        # replicates are counted above.
-        with np.errstate(invalid="ignore"):
-            lower = _quantile(curves, alpha)
-            upper = _quantile(curves, 1.0 - alpha)
-        band = tuple(
-            (float(g), float(lo), float(hi))
-            for g, lo, hi in zip(grid, lower, upper)
-        )
+        if banded:
+            alpha = (1.0 - _BAND_LEVEL) / 2.0
+            # A curve that holds an inf makes the interpolation warn; those
+            # replicates are counted above.
+            with np.errstate(invalid="ignore"):
+                lower = _quantile(curves[:kept], alpha)
+                upper = _quantile(curves[:kept], 1.0 - alpha)
+            band = tuple(
+                (float(g), float(lo), float(hi))
+                for g, lo, hi in zip(grid, lower, upper)
+            )
 
     return TrendFit(
         degree=degree,

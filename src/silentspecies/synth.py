@@ -55,19 +55,27 @@ def generate(spec: PopulationSpec) -> np.ndarray:
     return probs
 
 
-def _species_labels(count: int) -> list[str]:
+def _labels(prefix: str, numbers: range, count: int) -> list[str]:
+    """The labels of `numbers` among 1..count: the prefix, then the number
+    zero-padded to the digits of `count`, and at least 4."""
     width = max(4, len(str(count)))
-    return [f"sp{i:0{width}d}" for i in range(1, count + 1)]
+    return [f"{prefix}{i:0{width}d}" for i in numbers]
+
+
+def _check_size(name: str, value: int) -> None:
+    """Refuse a token or site count that is not a positive int64."""
+    if not 1 <= value <= _INT64_MAX:
+        raise InvalidSpec(
+            f"{name} must be in [1, {_INT64_MAX}] (int64), got {value}")
 
 
 def sample(population: np.ndarray, n: int, seed: int) -> Tally:
     """Draw n tokens (exact multinomial) from the population and tally."""
-    if not 1 <= n <= _INT64_MAX:
-        raise InvalidSpec(f"n must be in [1, {_INT64_MAX}] (int64), got {n}")
+    _check_size("n", n)
     population = _population(population)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.multinomial(n, population)
-    labels = _species_labels(population.size)
+    labels = _labels("sp", range(1, population.size + 1), population.size)
     counts = {labels[i]: int(c) for i, c in enumerate(draws) if c > 0}
     return Tally(counts, n, ABUNDANCE)
 
@@ -127,6 +135,18 @@ def sample_site_records(
     return Observations.of(columns, counts, np.arange(1, len(counts) + 1))
 
 
+def _token_table(population: np.ndarray, n: int, seed: int) -> Observations:
+    """sample's tally as a one-sample long table: sample_id `_default`, one
+    row per species seen, in label order, rows numbered from 1."""
+    counts = sample(population, n, seed).counts
+    rows = np.arange(1, len(counts) + 1)
+    columns = {
+        "sample_id": Column(["_default"], np.zeros(len(counts), np.int64), -1),
+        "species_id": Column(list(counts), rows - 1, -1),
+    }
+    return Observations.of(columns, list(counts.values()), rows)
+
+
 # Sites drawn in one batch: a block holds about this many uniforms
 # (categorical sampler) or multinomial cells, however many sites are asked
 # for, so that writing the blocks as they come takes memory flat in m.
@@ -143,19 +163,15 @@ def _site_blocks(
     """sample_site_records' table in blocks of consecutive sites, drawn as
     they are asked for. Each block is a table of its own sites' rows: its
     sample_id labels are those sites', its species_id labels one list
-    shared by every block, and its rows carry on the numbering. Every
+    shared by every block, and its rows are numbered from 1. Every
     argument is checked now, before the first block is asked for."""
-    if not 1 <= m <= _INT64_MAX:
-        raise InvalidSpec(f"m must be in [1, {_INT64_MAX}] (int64), got {m}")
-    if not 1 <= per_site_n <= _INT64_MAX:
-        raise InvalidSpec(f"per_site_n must be in [1, {_INT64_MAX}] (int64), "
-                          f"got {per_site_n}")
+    _check_size("m", m)
+    _check_size("per_site_n", per_site_n)
     if not 0.0 < detection <= 1.0:
         raise InvalidSpec(f"detection must be in (0,1], got {detection}")
     population = _population(population)
     k = population.size
-    species_labels = _species_labels(k)
-    site_width = max(4, len(str(m)))
+    species_labels = _labels("sp", range(1, k + 1), k)
     step = max(1, _BLOCK_TOKENS // min(per_site_n, k))
     # Divided by its last entry, which is then exactly 1, so no uniform in
     # [0, 1) falls past the last species.
@@ -163,7 +179,6 @@ def _site_blocks(
     cdf /= cdf[-1]
 
     def blocks() -> Iterator[Observations]:
-        rows = 0
         for lo in range(0, m, step):
             block = range(lo, min(lo + step, m))
             # Measured per site over 500 and 5,000 species (uniform, zipf
@@ -181,14 +196,12 @@ def _site_blocks(
                                           counts[seen])
             columns = {
                 "sample_id": Column(
-                    [f"site{site:0{site_width}d}"
-                     for site in range(block.start + 1, block.stop + 1)],
+                    _labels("site", range(block.start + 1, block.stop + 1), m),
                     sites, -1),
                 "species_id": Column(species_labels, species, -1),
             }
             yield Observations.of(columns, counts,
-                                  np.arange(rows + 1, rows + len(counts) + 1))
-            rows += len(counts)
+                                  np.arange(1, len(counts) + 1))
 
     return blocks()
 

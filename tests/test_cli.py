@@ -17,19 +17,23 @@ import silentspecies
 from silentspecies import ObservationRecord
 from silentspecies import synth
 from silentspecies.cli import run
-from silentspecies.io import write_records_csv
+from silentspecies.io import write_record_blocks
 
 # About 400 KB of output, more than a pipe buffer holds.
 LARGE_SYNTH = ["synth", "--distribution", "zipf", "--species", "5000",
                "--sites", "200", "--seed", "7"]
 
 
-def cli_process(argv, **popen):
-    """The CLI in a child process, importing this checkout's package."""
+def cli_process(argv, redirect="", **popen):
+    """The CLI in a child process, importing this checkout's package; a
+    `redirect` such as "<&-" is applied to it by the shell."""
     src = str(Path(silentspecies.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "silentspecies.cli", *argv],
-                            env=dict(os.environ, PYTHONPATH=path), **popen)
+    command = [sys.executable, "-m", "silentspecies.cli", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.Popen(command, env=dict(os.environ, PYTHONPATH=path),
+                            **popen)
 
 
 @pytest.fixture
@@ -206,6 +210,42 @@ def test_reader_closing_stdout_early_is_not_an_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+CORRELATE_TREND_FILE = ["correlate", "--input", "three.csv", "--group-by",
+                        "genre", "--trend-degree", "1", "--trend-replicates",
+                        "0", "--trend-out", "t.csv"]
+# (argv, the shell's redirection, an existing trend file): each run starts
+# with one standard stream closed.
+CLOSED_STREAMS = {
+    "estimate-stdin": (["estimate", "--stdin"], "<&-", False),
+    "synth-tokens-stdout": (["synth", "--species", "5", "--tokens", "10"],
+                            ">&-", False),
+    "synth-sites-stdout": (["synth", "--species", "5", "--sites", "10"],
+                           ">&-", False),
+    "correlate-stdout": (CORRELATE_TREND_FILE, ">&-", False),
+    "correlate-stdout-existing": (CORRELATE_TREND_FILE, ">&-", True),
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+@pytest.mark.parametrize("case", sorted(CLOSED_STREAMS))
+def test_closed_standard_stream_is_one_error_line(case, tmp_path):
+    # Checked before any output is opened: no trend file is made or cut.
+    argv, redirect, existing = CLOSED_STREAMS[case]
+    (tmp_path / "three.csv").write_text(THREE_GENRES, encoding="utf-8")
+    if existing:
+        (tmp_path / "t.csv").write_bytes(b"kept\n")
+    proc = cli_process(argv, redirect, cwd=tmp_path, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    stream = "input" if redirect == "<&-" else "output"
+    assert (proc.returncode, out) == (1, "")
+    assert err.splitlines() == [f"error: OSError: standard {stream} is closed"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["t.csv", "three.csv"] if existing else ["three.csv"])
+    if existing:
+        assert (tmp_path / "t.csv").read_bytes() == b"kept\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -391,8 +431,8 @@ def test_correlate_trend_without_band_writes_the_fit(tmp_path):
 
 @pytest.mark.filterwarnings("always")  # as a fresh interpreter shows them
 def test_trend_replicate_warnings_are_one_line(tmp_path, capsys):
-    # Some of the 200 resamples of three points repeat one x; each such fit
-    # warns, and the warnings are reported once, counted.
+    # Some of the 200 resamples of three points repeat one x; each such
+    # replicate is left out, and they are reported once, counted.
     path = tmp_path / "three.csv"
     path.write_text(THREE_GENRES, encoding="utf-8")
     assert run(["correlate", "--input", str(path), "--group-by", "genre",
@@ -401,8 +441,48 @@ def test_trend_replicate_warnings_are_one_line(tmp_path, capsys):
                 "--trend-degree", "1"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert re.fullmatch(r"warning: \d+ of 200 trend replicates: "
-                        r"The fit may be poorly conditioned", err[0])
+    assert re.fullmatch(r"warning: \d+ of 200 trend replicates left out: "
+                        r"fewer than 2 distinct x values", err[0])
+
+
+# Five groups of distinct TTR: THREE_GENRES and two more.
+FIVE_GENRES = (THREE_GENRES + "m4,a,1,Waltz\nm4,h,1,Waltz\nm4,i,3,Waltz\n"
+               "m5,j,1,Hornpipe\nm5,a,1,Hornpipe\n")
+
+
+@pytest.mark.filterwarnings("always")
+@pytest.mark.parametrize("text, left_out", [
+    # A degree-2 fit needs 3 distinct x: most resamples of 3 points lack
+    # them, so no band is left; most resamples of 5 points have them.
+    (THREE_GENRES, "166 of 200 trend replicates left out: fewer than 3 "
+                   "distinct x values; no band, as fewer than half remain"),
+    (FIVE_GENRES, "15 of 200 trend replicates left out: fewer than 3 "
+                  "distinct x values"),
+], ids=["3-points", "5-points"])
+def test_trend_band_leaves_out_underdetermined_replicates(text, left_out,
+                                                          tmp_path, capsys):
+    path = tmp_path / "groups.csv"
+    path.write_text(text, encoding="utf-8")
+
+    def trend_rows(replicates):
+        trend = tmp_path / f"t{replicates}.csv"
+        assert run(["correlate", "--input", str(path), "--group-by", "genre",
+                    "--output", str(tmp_path / "c.csv"),
+                    "--trend-out", str(trend),
+                    "--trend-replicates", str(replicates)]) == 0
+        return [line.split(",") for line in data_lines(
+            trend.read_text(encoding="utf-8"))[1:]]
+
+    unbanded, banded = trend_rows(0), trend_rows(200)
+    assert capsys.readouterr().err.splitlines() == [f"warning: {left_out}"]
+    assert [row[:2] for row in banded] == [row[:2] for row in unbanded]
+    if "no band" in left_out:
+        assert banded == unbanded
+    else:
+        # Left in, the underdetermined replicates put the upper bound at
+        # x = 1 at 11.34.
+        assert all(-4 < float(lower) <= float(upper) < 4
+                   for _, _, lower, upper in banded)
 
 
 def test_outputs_embed_reproducible_metadata(sessions_csv, tmp_path):
@@ -440,6 +520,10 @@ BOUNDARY_CASES = {
     "threads-env-negative": (
         ["bootstrap", "--input", "sessions.csv", "--replicates", "100"],
         {"SILENTSPECIES_THREADS": "-1"}, 1, "SILENTSPECIES_THREADS"),
+    # An Arabic-Indic digit three: str.isdecimal and int() take it as 3.
+    "threads-env-non-ascii-digit": (
+        ["bootstrap", "--input", "sessions.csv", "--replicates", "100"],
+        {"SILENTSPECIES_THREADS": "\u0663"}, 1, "SILENTSPECIES_THREADS"),
     "sort-by-flag": (
         ["report", "--input", "sessions.csv", "--group-by", "genre",
          "--sort-by", "nope"], {}, 2, "argument --sort-by"),
@@ -594,7 +678,7 @@ def test_synth_blocks_write_what_one_block_does(shape, monkeypatch, capsys):
     # At the default budget, each shape here is one block.
     table = synth.sample_site_records(population, sites, per_site, detection,
                                       seed=21)
-    write_records_csv(table, expected, {})
+    write_record_blocks([table], expected, {})
     budget = 4 * min(per_site, species)
     step = budget // min(per_site, species)
     monkeypatch.setattr(synth, "_BLOCK_TOKENS", budget)

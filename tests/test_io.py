@@ -19,7 +19,7 @@ from silentspecies.io import (
     _write_table,
     metadata,
     read_records,
-    write_records_csv,
+    write_record_blocks,
     write_report_json,
 )
 from silentspecies.tally import Column
@@ -239,7 +239,8 @@ record_lists = st.lists(
 @given(record_lists)
 def test_records_csv_round_trip(records):
     buf = stdio.StringIO(newline="")
-    write_records_csv(records, buf, metadata("cmd", seed=1))
+    write_record_blocks([Observations.from_records(records)], buf,
+                        metadata("cmd", seed=1))
     buf.seek(0)
     assert list(read_records(buf)) == records
 
@@ -256,15 +257,14 @@ def test_table_writer_across_chunks():
 
 
 def assert_writes_like_per_record_rows(records):
-    """The list and its table both write what one row per record does."""
+    """The list's table writes what one row per record does."""
     meta = metadata("cmd", seed=1)
     expected = stdio.StringIO(newline="")
     _write_table(expected, meta, LONG_COLUMNS,
                  ((r.sample_id, r.species_id, r.count) for r in records))
-    for written in (records, Observations.from_records(records)):
-        buf = stdio.StringIO(newline="")
-        write_records_csv(written, buf, meta)
-        assert buf.getvalue() == expected.getvalue()
+    buf = stdio.StringIO(newline="")
+    write_record_blocks([Observations.from_records(records)], buf, meta)
+    assert buf.getvalue() == expected.getvalue()
 
 
 # Labels as a table built directly may hold them: unstripped, empty, or made
@@ -338,7 +338,7 @@ def test_records_writer_matches_table_rows(obs):
         obs.counts.tolist(),
     ))
     buf = stdio.StringIO(newline="")
-    write_records_csv(obs, buf, meta)
+    write_record_blocks([obs], buf, meta)
     # As lines: pytest reports the first differing line of a list, quickly.
     assert (buf.getvalue().splitlines(keepends=True)
             == expected.getvalue().splitlines(keepends=True))

@@ -179,9 +179,11 @@ class TestPolyfit:
 def reference_polyfit(x, y, degree, replicates, level=0.95, seed=42):
     """The trend fit as it was computed through numpy's Polynomial class:
     `Polynomial.fit(...).convert()` per fit, trailing zero coefficients
-    padded back, and `polyval` on the sorted distinct x per replicate.
-    Returns the coefficients, the band, the replicates' warning tally and
-    the point fit's warnings."""
+    padded back, and `polyval` on the sorted distinct x per replicate. A
+    replicate of fewer than degree + 1 distinct x is left out, and with
+    fewer than half the replicates kept there is no band (None).
+    Returns the coefficients, the band, the replicates' warning tally, the
+    point fit's warnings and the kept replicates' curves."""
 
     def fit_coeffs(xs, ys):
         coeffs = np.polynomial.Polynomial.fit(xs, ys, degree).convert().coef
@@ -194,22 +196,44 @@ def reference_polyfit(x, y, degree, replicates, level=0.95, seed=42):
         coefficients = fit_coeffs(xa, ya)
     point_warnings = {(w.category, str(w.message)) for w in caught}
     grid = np.unique(xa)
-    curves = np.empty((replicates, grid.size))
+    curves = []
     warned = Counter()
     for rep in range(replicates):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         idx = rng.integers(0, xa.size, size=xa.size)
+        if np.unique(xa[idx]).size <= degree:
+            continue
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            curves[rep] = np.polynomial.polynomial.polyval(
-                grid, fit_coeffs(xa[idx], ya[idx]))
+            curves.append(np.polynomial.polynomial.polyval(
+                grid, fit_coeffs(xa[idx], ya[idx])))
         warned.update({(w.category, str(w.message)) for w in caught})
-    alpha = (1.0 - level) / 2.0
-    with np.errstate(invalid="ignore"):  # a curve holding inf; counted above
-        band = np.column_stack([grid, np.quantile(curves, alpha, axis=0),
-                                np.quantile(curves, 1.0 - alpha, axis=0)])
-    return coefficients, band, warned, point_warnings
+    curves = np.reshape(curves, (len(curves), grid.size))
+    band = None
+    if 2 * len(curves) >= replicates:
+        alpha = (1.0 - level) / 2.0
+        with np.errstate(invalid="ignore"):  # a curve holding inf; counted
+            band = np.column_stack([grid, np.quantile(curves, alpha, axis=0),
+                                    np.quantile(curves, 1.0 - alpha, axis=0)])
+    return coefficients, band, warned, point_warnings, curves
+
+
+def left_out_warning(degree, replicates, kept):
+    """polyfit's warning for the replicates it left out, or None."""
+    if kept == replicates:
+        return None
+    return (f"{replicates - kept} of {replicates} trend replicates left out: "
+            f"fewer than {degree + 1} distinct x values"
+            + ("" if 2 * kept >= replicates
+               else "; no band, as fewer than half remain"))
+
+
+def assert_same_band(a, b):
+    """Both no band, or bands of the same bits."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert_same_bits(a, b)
 
 
 def assert_same_bits(a, b):
@@ -265,16 +289,19 @@ def trend_inputs(draw):
        st.integers(min_value=0, max_value=2**32))
 # A range so narrow that the conversion overflows to inf, and the evaluation
 # then meets inf * 0: each replicate's warnings, not only the solver's, are
-# counted per replicate.
+# counted per replicate. With two distinct x every replicate is left out;
+# with three, 4 of the 5 are kept and give a band.
 @example(([0.0, 0.0, 6.677417871787372e-190], [0.0, 0.0, 1.0], 2), 5, 0)
+@example(([0.0, 0.0, 6.677417871787372e-190, 3e-190], [0.0, 0.0, 1.0, 0.5], 2),
+         5, 1)
 # A subnormal range maps x to inf and NaN, which the solver rejects.
 @example(([0.0, 0.0, 5e-324], [0.0, 0.0, 1.0], 1), 1, 0)
 def test_polyfit_matches_the_polynomial_class_bit_for_bit(inputs, replicates,
                                                            seed):
     x, y, degree = inputs
     try:
-        coefficients, band, warned, point_warnings = reference_polyfit(
-            x, y, degree, replicates, seed=seed)
+        coefficients, band, warned, point_warnings, curves = (
+            reference_polyfit(x, y, degree, replicates, seed=seed))
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError), warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -284,9 +311,12 @@ def test_polyfit_matches_the_polynomial_class_bit_for_bit(inputs, replicates,
         warnings.simplefilter("always")
         fit = polyfit(x, y, degree, bootstrap_replicates=replicates, seed=seed)
     assert_same_bits(fit.coefficients, coefficients)
-    assert_same_bits(fit.band, band)
+    assert_same_band(fit.band, band)
     tally = [(category, f"{count} of {replicates} trend replicates: {message}")
              for (category, message), count in warned.items()]
+    left_out = left_out_warning(degree, replicates, len(curves))
+    if left_out is not None:
+        tally.append((UserWarning, left_out))
     band_warnings = [(w.category, str(w.message)) for w in caught
                      if "trend replicates" in str(w.message)]
     assert sorted(band_warnings, key=str) == sorted(tally, key=str)
@@ -295,6 +325,41 @@ def test_polyfit_matches_the_polynomial_class_bit_for_bit(inputs, replicates,
     other = {(w.category, str(w.message)) for w in caught
              if "trend replicates" not in str(w.message)}
     assert other <= point_warnings
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_band_lies_within_the_kept_curves(degree, data):
+    # Few points on few distinct x, so that many resamples are left out,
+    # and a left-out curve could lie anywhere.
+    n = data.draw(st.integers(min_value=degree + 1, max_value=8))
+    x = data.draw(st.lists(st.integers(0, 6).map(float), min_size=n,
+                           max_size=n))
+    y = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    replicates = data.draw(st.integers(min_value=1, max_value=40))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    *_, curves = reference_polyfit(x, y, degree, replicates, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = polyfit(x, y, degree, bootstrap_replicates=replicates, seed=seed)
+    assert (fit.band is None) == (2 * len(curves) < replicates)
+    if fit.band is not None:
+        _, lower, upper = np.array(fit.band).T
+        assert (curves.min(axis=0) <= lower).all()
+        assert (lower <= upper).all()
+        assert (upper <= curves.max(axis=0)).all()
+
+
+@pytest.mark.parametrize("fit", [pearson, lambda x, y: polyfit(x, y, 1)],
+                         ids=["pearson", "polyfit"])
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+], ids=["mismatched", "2-d"])
+def test_x_and_y_must_be_one_dimensional_of_equal_length(fit, x, y):
+    with pytest.raises(ValueError, match=r"^x and y must be 1-d sequences "
+                                         r"of equal length$"):
+        fit(x, y)
 
 
 def test_trailing_zero_coefficients_are_positive_zeros():
@@ -335,9 +400,9 @@ SIGNED_ZERO_FITS = [
 
 @pytest.mark.parametrize("x, y, degree", SIGNED_ZERO_FITS)
 def test_signed_zero_fits_convert_as_the_polynomial_class(x, y, degree):
-    coefficients, band, _, _ = reference_polyfit(x, y, degree, 20, seed=3)
+    coefficients, band, _, _, _ = reference_polyfit(x, y, degree, 20, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = polyfit(x, y, degree, bootstrap_replicates=20, seed=3)
     assert_same_bits(fit.coefficients, coefficients)
-    assert_same_bits(fit.band, band)
+    assert_same_band(fit.band, band)

@@ -216,6 +216,21 @@ class TestSampleSites:
 
         assert per_site(0.7) <= 1.1 * per_site(1.0)
 
+    # Each count is refused with the int64 range it must lie in.
+    @pytest.mark.parametrize("name", ["n", "m", "per_site_n"])
+    @pytest.mark.parametrize("value", [0, 2**63])
+    def test_size_errors_name_the_int64_range(self, name, value):
+        probs = generate(PopulationSpec(5, "uniform"))
+        sizes = {"n": 10, "m": 3, "per_site_n": 10, name: value}
+        message = (f"{name} must be in [1, 9223372036854775807] (int64), "
+                   f"got {value}")
+        with pytest.raises(InvalidSpec) as raised:
+            if name == "n":
+                sample(probs, sizes["n"], seed=1)
+            else:
+                sample_site_records(probs, sizes["m"], sizes["per_site_n"])
+        assert str(raised.value) == message
+
     def test_invalid_detection(self):
         probs = generate(PopulationSpec(5, "uniform"))
         with pytest.raises(InvalidSpec):
