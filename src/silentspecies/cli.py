@@ -354,10 +354,21 @@ def _cmd_synth(args, meta) -> None:
     _write((args.output, lambda f: io.write_record_blocks(tables, f, meta)))
 
 
+def _diagnose(line: str) -> None:
+    """One diagnostic line on stderr, or nowhere when stderr is closed or
+    cannot be written: never on stdout (where print sends it when
+    sys.stderr is None), and never failing the run."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except (OSError, ValueError):
+            pass
+
+
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None) -> None:
     """A library warning as one stderr line, without its source location."""
-    print(f"warning: {message}", file=sys.stderr)
+    _diagnose(f"warning: {message}")
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -376,11 +387,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             args.handler(args, meta)
-        except (SilentSpeciesError, OSError, ValueError) as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        except MemoryError as exc:  # numpy raises a private subclass
-            print(f"error: MemoryError: {exc}", file=sys.stderr)
+        except (SilentSpeciesError, OSError, ValueError, MemoryError) as exc:
+            # numpy raises a private subclass of MemoryError: named as its base
+            name = ("MemoryError" if isinstance(exc, MemoryError)
+                    else type(exc).__name__)
+            _diagnose(f"error: {name}: {exc}")
             return 1
     return 0
 

@@ -53,6 +53,9 @@ def read_records(f: TextIO) -> Observations:
     header is data. Blank rows are skipped. A record's row is the file line
     on which it starts, and every SchemaError names it. A byte that UTF-8
     could not decode (kept by errors="surrogateescape") is a SchemaError.
+    The first defective row in file order raises; within a row, the field
+    count is judged first, then the count, then species_id, then the other
+    columns in header order.
     """
     lines = iter(f)
     first = next(lines, "").removeprefix("\ufeff")  # as spreadsheets write it
@@ -76,10 +79,12 @@ def read_records(f: TextIO) -> Observations:
     if "species_id" not in header:
         raise SchemaError("long-format CSV: missing species_id column")
     width = len(header)
-    species_col = header.index("species_id")
     count_col = header.index("count") if "count" in header else None
-    names = [h for h in header if h != "count"]
-    columns = [(header.index(h), {}, []) for h in names]
+    # name -> (field index, label -> code, per-record codes), in header order
+    columns = {h: (i, {}, []) for i, h in enumerate(header) if h != "count"}
+    species_col = columns["species_id"][0]
+    # A row's labels are judged species_id first, then in header order.
+    interned = sorted(columns.items(), key=lambda c: c[0] != "species_id")
     counts: list[int] = []
     parsed: dict[str, int] = {}  # count text -> count; counts repeat a lot
     # Typed: a list would hold a distinct int object per record, 4.5 times
@@ -110,26 +115,19 @@ def read_records(f: TextIO) -> Observations:
                 if any(map(str.strip, row)):
                     raise SchemaError(f"row {start}: empty species_id")
                 continue
-            for i, ids, codes in columns:
-                codes.append(ids.setdefault(row[i].strip(), len(ids)))
+            for name, (i, ids, codes) in interned:
+                label = row[i].strip()
+                code = ids.get(label)
+                if code is None:  # a new label: checked once, not per field
+                    _check_decoded(start, repr(name), label)
+                    code = ids[label] = len(ids)
+                codes.append(code)
             counts.append(count)
             rows.append(start)
     except csv.Error as exc:
         raise SchemaError(f"row {line + 1}: {exc}") from None
-    # Each label is checked once, not each field: (row, column, label) of
-    # the first undecodable label of each column.
-    undecodable = []
-    for name, (_, ids, codes) in zip(names, columns):
-        if _UNDECODED.search("".join(ids)):
-            code, label = next((code, label) for code, label in enumerate(ids)
-                               if _UNDECODED.search(label))
-            undecodable.append((rows[codes.index(code)], name, label))
-    if undecodable:
-        row, name, label = min(undecodable)
-        _check_decoded(row, repr(name), label)
     return Observations.of(
-        {h: Column.of(ids, codes)
-         for h, (_, ids, codes) in zip(names, columns)},
+        {h: Column.of(ids, codes) for h, (_, ids, codes) in columns.items()},
         counts,
         rows,
     )

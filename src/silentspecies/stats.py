@@ -171,8 +171,8 @@ def _fit_one(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares fit of y on x, as ascending coefficients in x: bit for
     bit `Polynomial.fit(x, y, degree).convert().coef` padded with +0.0.
 
-    Like Polynomial.fit, the domain [min, max] (widened by 1 each way when
-    it is one point) is mapped onto [-1, 1] and solved there. Like
+    Like Polynomial.fit, the domain [min, max] of x, which holds more than
+    `degree` distinct values, is mapped onto [-1, 1] and solved there. Like
     convert(), Horner's rule then substitutes the line [off, scl] for the
     mapped variable, each term a sum of at most two products started from
     +0.0 as `np.convolve` sums them. No term is then -0.0, so numpy's
@@ -181,8 +181,6 @@ def _fit_one(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     none here either; only the addition of each coefficient does.
     """
     lo, hi = x.min(), x.max()
-    if lo == hi:
-        lo, hi = lo - 1, hi + 1
     # numpy's mapparms from [lo, hi] to [-1, 1], operation for operation
     span = hi - lo
     off = (hi * -1.0 - lo * 1.0) / span
@@ -217,26 +215,26 @@ def polyfit(
 
     x is centered and scaled internally (numpy's domain mapping) so that
     year-valued inputs stay well conditioned; returned coefficients are in
-    the original x, ascending powers. With bootstrap_replicates > 0, points
-    are resampled with replacement and a 95% percentile band is evaluated at
-    the sorted distinct x values. A resample of fewer than degree + 1
-    distinct x values does not determine its fit and is left out, with one
-    warning that counts them; when fewer than half the replicates remain,
-    the fit has no band.
+    the original x, ascending powers. Fewer than degree + 1 distinct x
+    values do not determine the fit: InsufficientPoints. With
+    bootstrap_replicates > 0, points are resampled with replacement and a
+    95% percentile band is evaluated at the sorted distinct x values. A
+    resample that does not determine its fit is left out, with one warning
+    that counts them; when fewer than half the replicates remain, the fit
+    has no band.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     xa, ya = _xy(x, y)
-    if xa.size < degree + 1:
-        raise InsufficientPoints(
-            f"degree {degree} fit needs {degree + 1} points, got {xa.size}"
-        )
+    grid = _unique(xa)
+    if grid.size <= degree:
+        raise InsufficientPoints(f"degree {degree} fit needs {degree + 1} "
+                                 f"distinct x values, got {grid.size}")
 
     coefficients = _fit_one(xa, ya, degree)
 
     band = None
     if bootstrap_replicates > 0:
-        grid = _unique(xa)
         curves = np.empty((bootstrap_replicates, grid.size))
         kept = 0  # curves[:kept]: the fitted replicates, in replicate order
         warned = Counter()  # replicates per (category, message)

@@ -182,22 +182,25 @@ def _observations(
     return Observations.from_records(records)
 
 
-def _check(obs: Observations, mode: str) -> None:
+def _check(obs: Observations, mode: str, group: str | None = None) -> None:
     """Raise SchemaError naming the row of the first record that cannot be
-    tallied in `mode`."""
-    species = obs.column("species_id")
-    bad = (obs.counts < 0) | species.blank()
+    tallied in `mode` or, given a `group` column, has no value in it; a
+    record that breaks several of these rules is named by the first."""
+    rules = {"negative count": obs.counts < 0,
+             "empty species_id": obs.column("species_id").blank()}
     if mode == INCIDENCE:
-        bad |= obs.column("sample_id").blank()
+        rules["missing sample_id in incidence mode"] = (
+            obs.column("sample_id").blank())
+    if group is not None:
+        rules[f"missing group attribute {group!r}"] = obs.column(group).blank()
+    bad = np.logical_or.reduce(list(rules.values()))
     if not bad.any():
         return
     i = int(bad.argmax())
-    row = obs.rows[i]
+    message = next(text for text, broken in rules.items() if broken[i])
     if obs.counts[i] < 0:
-        raise SchemaError(f"row {row}: negative count {int(obs.counts[i])}")
-    if species.codes[i] == species.empty:
-        raise SchemaError(f"row {row}: empty species_id")
-    raise SchemaError(f"row {row}: missing sample_id in incidence mode")
+        message += f" {int(obs.counts[i])}"
+    raise SchemaError(f"row {obs.rows[i]}: {message}")
 
 
 def _distinct(ordered: np.ndarray) -> np.ndarray:
@@ -338,12 +341,8 @@ def group_by(
     obs = _observations(records)
     if group_field not in obs.columns and len(obs):  # no records, no groups
         raise SchemaError(f"the input has no group column {group_field!r}")
+    _check(obs, mode, group_field)
     column = obs.column(group_field)
-    missing = column.blank()
-    if missing.any():
-        raise SchemaError(f"row {obs.rows[missing.argmax()]}: missing group "
-                          f"attribute {group_field!r}")
-    _check(obs, mode)
     # Group c's records are order[bounds[c]:bounds[c + 1]], in input order.
     order = np.argsort(column.codes, kind="stable")
     bounds = np.searchsorted(column.codes[order],

@@ -248,6 +248,50 @@ def test_closed_standard_stream_is_one_error_line(case, tmp_path):
         assert (tmp_path / "t.csv").read_bytes() == b"kept\n"
 
 
+# (argv, exit code): a run that only warns and a run that fails.
+DIAGNOSED_RUNS = {
+    "warning": (["bootstrap", "--input", "sessions.csv", "--replicates", "20"],
+                0),
+    "error": (["estimate", "--input", "sessions.csv", "--group-by", "nope"],
+              1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSED_RUNS))
+def test_diagnostics_with_stderr_closed_stay_off_stdout(case, sessions_csv,
+                                                        capsys, monkeypatch):
+    # A process started with descriptor 2 closed sees sys.stderr as None,
+    # and print(file=None) writes to stdout.
+    argv, code = DIAGNOSED_RUNS[case]
+    monkeypatch.chdir(sessions_csv.parent)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr("sys.stderr", None)
+        assert run(argv) == code
+    assert capsys.readouterr().out == captured.out
+    assert (captured.out == "") == bool(code)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+@pytest.mark.parametrize("case", sorted(DIAGNOSED_RUNS))
+def test_diagnostics_with_stderr_read_only_stay_off_stdout(case,
+                                                           sessions_csv):
+    argv, code = DIAGNOSED_RUNS[case]
+
+    def stdout(redirect):
+        proc = cli_process(argv, redirect, cwd=sessions_csv.parent,
+                           stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == code
+        return out
+
+    out = stdout("2</dev/null")
+    assert out == stdout("2>/dev/null")
+    assert (out == b"") == bool(code)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_reader_closing_an_output_fifo_early_is_an_error(tmp_path):
     fifo = tmp_path / "pipe"
@@ -386,6 +430,22 @@ def test_correlate_writes_nothing_when_the_trend_fails(tmp_path, capsys):
     assert "InsufficientPoints" in capsys.readouterr().err
     assert not out.exists()
     assert not trend.exists()
+
+
+def test_correlate_on_groups_tied_in_ttr_writes_nothing(tmp_path, capsys):
+    # Four genres whose TTRs tie in pairs: two distinct x do not determine
+    # the default degree-2 trend.
+    path = tmp_path / "tied.csv"
+    path.write_text("sample_id,species_id,count,genre\n"
+                    "m1,a,1,Reel\nm1,b,1,Reel\nm2,c,1,Jig\nm2,d,1,Jig\n"
+                    "m3,a,2,Polka\nm4,b,2,Waltz\n", encoding="utf-8")
+    code = run(["correlate", "--input", str(path), "--group-by", "genre",
+                "--output", str(tmp_path / "c.csv"),
+                "--trend-out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: InsufficientPoints: degree 2 "
+                                   "fit needs 3 distinct x values, got 2\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["tied.csv"]
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -742,6 +802,9 @@ MALFORMED_FILES = {
     "empty-species": (HEADER + "m1,a,1\nm1, ,1\n", [], "row 3: empty species_id"),
     "blank-sample-incidence": (GROUPED + "m1,a,1,J\n\n,c,1,J\n",
                                INCIDENCE_BY_GENRE, "row 4: missing sample_id"),
+    "blank-sample-before-blank-group": (
+        GROUPED + "m1,a,1,J\n,b,1,J\nm3,c,1,J\nm4,d,1, \n",
+        INCIDENCE_BY_GENRE, "row 3: missing sample_id in incidence mode"),
     "missing-group-value": (GROUPED + "m1,a,1,J\nm2,b,1, \n",
                             INCIDENCE_BY_GENRE,
                             "row 3: missing group attribute 'genre'"),
@@ -774,6 +837,14 @@ MALFORMED_FILES = {
     "undecodable-byte-stdin": (
         HEADER.encode() + b"m1,a,1\nm2,a\xff,1\nm\xfe3,b,1\n", ["--stdin"],
         "row 3: undecodable byte 0xff in 'species_id'"),
+    # One pass: a bad label fails at its own row, before a later bad count.
+    "undecodable-before-bad-count": (
+        HEADER.encode() + b"m1,a,1\nm2,\xff,1\nm3,b,1\nm4,c,x\n", [],
+        "row 3: undecodable byte 0xff in 'species_id'"),
+    # Within a row, the columns after species_id in header order.
+    "undecodable-sample-and-group": (
+        GROUPED.encode() + b"m1,a,1,J\nm\xfe2,b,1,R\xff\n", [],
+        "row 3: undecodable byte 0xfe in 'sample_id'"),
     "undecodable-count": (HEADER.encode() + b"m1,a,1\nm2,b,1\xc3\n", [],
                           "row 3: undecodable byte 0xc3 in 'count'"),
     "undecodable-header": (b"sample_id,species_id,c\xe9\nm1,a,1\n",

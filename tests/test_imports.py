@@ -196,11 +196,13 @@ def needs_only_numpy():
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "tiny.csv"
-    # Three genres, the fewest that correlate fits a trend to.
+    # Three genres, the fewest that correlate fits a trend to, each of its
+    # own TTR and STR: a degree-2 trend needs three distinct x.
     path.write_text("sample_id,species_id,count,genre\n"
                     "m1,a,3,Reel\nm1,b,1,Reel\nm2,a,2,Reel\n"
                     "m2,c,1,Jig\nm3,d,1,Jig\nm3,e,2,Jig\n"
-                    "m4,a,1,Polka\nm4,f,2,Polka\nm5,b,1,Polka\n",
+                    "m4,a,1,Polka\nm4,f,2,Polka\nm5,b,1,Polka\n"
+                    "m6,g,1,Polka\n",
                     encoding="utf-8")
     return path
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from silentspecies import (
     DegenerateVariance,
@@ -175,13 +175,23 @@ class TestPolyfit:
         with pytest.raises(InsufficientPoints):
             polyfit([1.0, 2.0], [1.0, 2.0], degree=2)
 
+    @pytest.mark.parametrize("replicates", [0, 200])
+    def test_tied_x_underdetermined(self, replicates):
+        # Three points, two distinct x: the rule that leaves out a
+        # replicate holds for the point fit too.
+        with pytest.raises(InsufficientPoints, match="^degree 2 fit needs "
+                           "3 distinct x values, got 2$"):
+            polyfit([0.1, 0.1, 0.2], [0.6, 0.7, 0.8], 2,
+                    bootstrap_replicates=replicates)
+
 
 def reference_polyfit(x, y, degree, replicates, level=0.95, seed=42):
     """The trend fit as it was computed through numpy's Polynomial class:
     `Polynomial.fit(...).convert()` per fit, trailing zero coefficients
-    padded back, and `polyval` on the sorted distinct x per replicate. A
-    replicate of fewer than degree + 1 distinct x is left out, and with
-    fewer than half the replicates kept there is no band (None).
+    padded back, and `polyval` on the sorted distinct x per replicate.
+    Fewer than degree + 1 distinct x raise InsufficientPoints; a replicate
+    of that few is left out, and with fewer than half the replicates kept
+    there is no band (None).
     Returns the coefficients, the band, the replicates' warning tally, the
     point fit's warnings and the kept replicates' curves."""
 
@@ -191,11 +201,13 @@ def reference_polyfit(x, y, degree, replicates, level=0.95, seed=42):
 
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
+    grid = np.unique(xa)
+    if grid.size <= degree:
+        raise InsufficientPoints(f"{grid.size} distinct x values")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         coefficients = fit_coeffs(xa, ya)
     point_warnings = {(w.category, str(w.message)) for w in caught}
-    grid = np.unique(xa)
     curves = []
     warned = Counter()
     for rep in range(replicates):
@@ -249,8 +261,9 @@ def trend_inputs(draw):
     """x and y for a trend fit, with the shapes that stress the domain map
     and the conversion: tied and all-equal x, year-valued x, tiny ranges,
     and few distinct x, so that many resamples have at most `degree`
-    distinct values and fit rank-deficient; y that fits exactly, or so
-    near zero that the conversion's products come out as signed zeros."""
+    distinct values and are left out, or the points have as few and the
+    fit raises; y that fits exactly, or so near zero that the conversion's
+    products come out as signed zeros."""
     degree = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=max(3, degree + 1), max_value=60))
     shape = draw(st.sampled_from(
@@ -269,7 +282,7 @@ def trend_inputs(draw):
             lambda k: base + k * 1e-9)
     else:
         values = draw(st.lists(st.floats(min_value=-10, max_value=10),
-                               min_size=1, max_size=degree, unique=True))
+                               min_size=1, max_size=degree + 1, unique=True))
         xs = st.sampled_from(values)
     x = draw(st.lists(xs, min_size=n, max_size=n))
     values = draw(st.sampled_from(["any", "constant", "signed-zeros"]))
@@ -289,8 +302,8 @@ def trend_inputs(draw):
        st.integers(min_value=0, max_value=2**32))
 # A range so narrow that the conversion overflows to inf, and the evaluation
 # then meets inf * 0: each replicate's warnings, not only the solver's, are
-# counted per replicate. With two distinct x every replicate is left out;
-# with three, 4 of the 5 are kept and give a band.
+# counted per replicate. Two distinct x do not determine the point fit; with
+# three, 4 of the 5 replicates are kept and give a band.
 @example(([0.0, 0.0, 6.677417871787372e-190], [0.0, 0.0, 1.0], 2), 5, 0)
 @example(([0.0, 0.0, 6.677417871787372e-190, 3e-190], [0.0, 0.0, 1.0, 0.5], 2),
          5, 1)
@@ -302,8 +315,8 @@ def test_polyfit_matches_the_polynomial_class_bit_for_bit(inputs, replicates,
     try:
         coefficients, band, warned, point_warnings, curves = (
             reference_polyfit(x, y, degree, replicates, seed=seed))
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError), warnings.catch_warnings():
+    except (np.linalg.LinAlgError, InsufficientPoints) as exc:
+        with pytest.raises(type(exc)), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             polyfit(x, y, degree, bootstrap_replicates=replicates, seed=seed)
         return
@@ -338,6 +351,7 @@ def test_band_lies_within_the_kept_curves(degree, data):
     y = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
     replicates = data.draw(st.integers(min_value=1, max_value=40))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    assume(np.unique(x).size > degree)  # else the point fit raises
     *_, curves = reference_polyfit(x, y, degree, replicates, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -386,15 +400,16 @@ def test_non_finite_mapped_x_raises_before_the_solver_prints(capfd, x,
 
 
 # Inputs whose window fits have zero coefficients of either sign (found by
-# search): the conversion must give the zeros' signs as numpy's does.
+# search, each with more than `degree` distinct x): the conversion must give
+# the zeros' signs as numpy's does.
 SIGNED_ZERO_FITS = [
     ([5.0, 5.0, 11.0, 14.0, 11.0], [0.0, -0.0, 1e-320, 0.0, -1e-320], 1),
     ([5.0, -2.0, -2.0, 3.0, -1.0, 5.0, 3.0],
      [1e-310, 0.0, -0.0, 0.0, 0.0, -1e-310, -0.0], 2),
     ([8.0, 5.0, 8.0, 5.0, 15.0, 12.0],
      [1e-310, -0.0, -1e-310, -0.0, -0.0, 0.0], 3),
-    ([5.0, 13.0, 5.0, 14.0, 13.0, 15.0, 14.0, 15.0],
-     [0.0, -0.0, 0.0, 1e-320, -0.0, -1e-320, -1e-320, 1e-320], 4),
+    ([13.0, 9.0, 5.0, 15.0, 13.0, 5.0, 5.0, 11.0],
+     [1e-310, 0.0, -0.0, -0.0, -1e-310, -1e-320, 1e-320, 0.0], 4),
 ]
 
 

@@ -161,6 +161,12 @@ class TestGroupBy:
         with pytest.raises(SchemaError, match="row 2: missing sample_id"):
             group_by(records, "genre", "incidence")
 
+    def test_record_missing_sample_and_group_named_by_sample(self):
+        records = [rec("m1", "a", 1, genre="Reel"), rec(" ", "b", 1, genre="")]
+        with pytest.raises(SchemaError, match="^row 2: missing sample_id "
+                                              "in incidence mode$"):
+            group_by(records, "genre", INCIDENCE)
+
     def test_group_by_sample_id(self):
         records = [rec("m1", "a", 2), rec("m1", "b", 1), rec("m2", "a", 1)]
         ds = group_by(records, "sample_id", ABUNDANCE)
@@ -183,9 +189,9 @@ class TestGroupBy:
     def test_table_checked_once_for_all_groups(self, monkeypatch, mode):
         check, checked = tally_module._check, []
 
-        def counted(obs, mode):
+        def counted(obs, *args):
             checked.append(len(obs))
-            return check(obs, mode)
+            return check(obs, *args)
 
         monkeypatch.setattr(tally_module, "_check", counted)
         records = [rec("m1", "a", 2, genre="Reel"), rec("m2", "b", 1, genre="Jig"),
