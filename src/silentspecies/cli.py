@@ -42,13 +42,6 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 42
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="input CSV path")
-    src.add_argument("--stdin", action="store_true",
-                     help="read input CSV from standard input")
-
-
 def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
@@ -66,7 +59,10 @@ _positive = _int_at_least(1, "positive")
 
 
 def _add_common(parser: argparse.ArgumentParser, mode: bool = True) -> None:
-    _add_input(parser)
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", help="input CSV path")
+    src.add_argument("--stdin", action="store_true",
+                     help="read input CSV from standard input")
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED,
                         help="seed for all randomness (default: %(default)s)")
@@ -200,23 +196,42 @@ def _open_output(path: str, created: list[str]) -> int:
     return fd
 
 
+def _regular_file(f: TextIO) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of the regular file under `f`; None for any other
+    file, or for a stream without a descriptor."""
+    try:
+        st = os.fstat(f.fileno())
+    except (OSError, ValueError):
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
     """Write each (path, emit) output through `emit` to the file at `path`,
-    or to stdout. Every path is opened once, before any is written; when
-    one cannot be opened, the files this call created are removed and
-    nothing is written. A regular file is truncated just before it is
-    written; a FIFO or a device is written as it is."""
-    if sys.stdout is None and not all(path for path, _ in outputs):
+    or to stdout when `path` is None. Every path is opened once, before any
+    is written; when one cannot be opened, or two outputs are one regular
+    file, the files this call created are removed and nothing is written.
+    A regular file is truncated just before it is written; a FIFO or a
+    device is written as it is."""
+    if sys.stdout is None and any(path is None for path, _ in outputs):
         raise OSError("standard output is closed")  # descriptor 1 was closed
     created: list[str] = []
     with ExitStack() as stack:
         try:
             files = [
+                sys.stdout if path is None else
                 stack.enter_context(open(_open_output(path, created), "w",
                                          encoding="utf-8", newline="\n"))
-                if path else sys.stdout
                 for path, _ in outputs
             ]
+            named: dict[tuple[int, int], str] = {}
+            for (path, _), f in zip(outputs, files):
+                name = "standard output" if path is None else repr(path)
+                key = _regular_file(f)
+                if key in named:
+                    raise OSError(f"{named[key]} and {name} are one file")
+                if key is not None:
+                    named[key] = name
         except OSError:
             for path in created:
                 os.remove(path)
@@ -240,26 +255,6 @@ def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
                 emit(f)
 
 
-def _command_string(argv: Sequence[str]) -> str:
-    return "silentspecies " + " ".join(shlex.quote(a) for a in argv)
-
-
-def _estimate_rows(args: argparse.Namespace, records: Observations):
-    from . import analysis
-    from .tally import group_by, tally_records
-
-    if args.group_by:
-        dataset = group_by(records, args.group_by, args.mode)
-        return analysis.report(
-            dataset,
-            sort_by=args.sort_by,
-            ascending=args.ascending,
-            small_sample_correction=args.correction,
-        )
-    return [analysis.summarize("all", tally_records(records, args.mode),
-                               args.correction)]
-
-
 def _cmd_tally(args, meta) -> None:
     from . import io
     from .tally import spectrum, tally_records
@@ -269,11 +264,22 @@ def _cmd_tally(args, meta) -> None:
 
 
 def _cmd_estimate(args, meta) -> None:
-    from . import io
+    from . import analysis, io
+    from .tally import group_by, tally_records
 
-    rows = _estimate_rows(args, _read_records(args))
+    records = _read_records(args)
+    if args.group_by is not None:
+        rows = analysis.report(
+            group_by(records, args.group_by, args.mode),
+            sort_by=args.sort_by,
+            ascending=args.ascending,
+            small_sample_correction=args.correction,
+        )
+    else:
+        rows = [analysis.summarize("all", tally_records(records, args.mode),
+                                   args.correction)]
     meta = {**meta, "estimator": rows[-1].estimator_name}
-    group_label = args.group_by or "Group"
+    group_label = "Group" if args.group_by is None else args.group_by
 
     def emit(f: TextIO) -> None:
         if args.format == "csv":
@@ -321,7 +327,7 @@ def _cmd_correlate(args, meta) -> None:
     xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
     result = pearson(xs, ys)
     fit = None
-    if args.trend_out:  # fitted first: a failing trend leaves no file
+    if args.trend_out is not None:  # first: a failing fit leaves no file
         fit = polyfit(xs, ys, args.trend_degree,
                       bootstrap_replicates=args.trend_replicates,
                       seed=args.seed)
@@ -382,7 +388,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     from . import io
 
-    meta = io.metadata(_command_string(argv), args.seed)
+    meta = io.metadata("silentspecies " + shlex.join(argv), args.seed)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

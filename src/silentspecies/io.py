@@ -218,13 +218,13 @@ def write_record_blocks(
 
     Rows are written as _write_table writes them, but each distinct label
     is quoted once: a table's sample_id labels with that table, and its
-    species_id labels only when they are not the list the table before it
-    held, as the blocks of one sampling share one list."""
+    species_id labels only when they differ from those of the table before
+    it, as the blocks of one sampling hold equal lists."""
     _write_table(f, meta, LONG_COLUMNS, ())
     species_labels: list[str] | None = None
     for obs in blocks:
         labels = obs.column("species_id").labels
-        if labels is not species_labels:
+        if labels != species_labels:
             species_labels, species_fields = labels, _leading_fields(labels)
         _write_rows(f, obs, _leading_fields(obs.column("sample_id").labels),
                     species_fields)

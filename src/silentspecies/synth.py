@@ -127,9 +127,9 @@ def sample_site_records(
         species.append(block.columns["species_id"].codes)
         counts.append(block.counts)
     columns = {
-        "sample_id": Column(labels, np.concatenate(sites), -1),
+        "sample_id": Column(labels, np.concatenate(sites)),
         "species_id": Column(block.columns["species_id"].labels,
-                             np.concatenate(species), -1),
+                             np.concatenate(species)),
     }
     counts = np.concatenate(counts)
     return Observations.of(columns, counts, np.arange(1, len(counts) + 1))
@@ -141,8 +141,8 @@ def _token_table(population: np.ndarray, n: int, seed: int) -> Observations:
     counts = sample(population, n, seed).counts
     rows = np.arange(1, len(counts) + 1)
     columns = {
-        "sample_id": Column(["_default"], np.zeros(len(counts), np.int64), -1),
-        "species_id": Column(list(counts), rows - 1, -1),
+        "sample_id": Column(["_default"], np.zeros(len(counts), np.int64)),
+        "species_id": Column(list(counts), rows - 1),
     }
     return Observations.of(columns, list(counts.values()), rows)
 
@@ -197,8 +197,8 @@ def _site_blocks(
             columns = {
                 "sample_id": Column(
                     _labels("site", range(block.start + 1, block.stop + 1), m),
-                    sites, -1),
-                "species_id": Column(species_labels, species, -1),
+                    sites),
+                "species_id": Column(species_labels, species),
             }
             yield Observations.of(columns, counts,
                                   np.arange(1, len(counts) + 1))

@@ -45,22 +45,21 @@ class ObservationRecord:
 
 class Column(NamedTuple):
     """An interned column: record i holds `labels[codes[i]]`. Labels are
-    stripped and unique, so at most one, coded `empty`, is empty."""
+    stripped and unique, so at most one is empty."""
 
     labels: list[str]
     codes: np.ndarray  # int64, one per record
-    empty: int  # the empty label's code, -1 when there is none
 
     @classmethod
     def of(cls, ids: Mapping[str, int], codes: Sequence[int]) -> Column:
         """Column from an interning map (label -> code, in code order) and
         the per-record codes."""
-        return cls(list(ids), np.asarray(codes, dtype=np.int64),
-                   ids.get("", -1))
+        return cls(list(ids), np.asarray(codes, dtype=np.int64))
 
     def blank(self) -> np.ndarray:
         """Per record: is its value empty?"""
-        return self.codes == self.empty
+        empty = self.labels.index("") if "" in self.labels else -1
+        return self.codes == empty
 
 
 def _shown(text: str, form: Callable[[str], str] = str) -> str:
@@ -145,7 +144,7 @@ class Observations:
         every value is empty."""
         if name in self.columns:
             return self.columns[name]
-        return Column([""], np.zeros(len(self), dtype=np.int64), 0)
+        return Column([""], np.zeros(len(self), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -212,19 +211,16 @@ def _distinct(ordered: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-# np.unique and np.quantile import numpy.ma (on numpy >= 2.3 np.unique calls
-# np.ma.is_masked, and np.quantile calls np.unique), which costs a command
-# over 1 MB of memory. The two helpers below give their results bit for bit
-# without it, over float arrays.
+# np.unique without return_counts and np.quantile import numpy.ma (on
+# numpy >= 2.3 np.unique calls np.ma.is_masked, and np.quantile calls
+# np.unique), which costs a command over 1 MB of memory. The two helpers
+# below give their results bit for bit without it.
 
 
 def _unique(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D float sequence: each entry of the sorted values
-    that differs from the one before it, and one NaN. Like np.unique it
-    sorts with numpy's default sort, so of equal -0.0 and +0.0, and of
-    several NaNs, it keeps the one that sort puts first."""
-    found = _distinct(np.sort(np.asarray(values, dtype=float)))
-    return found[:np.count_nonzero(~np.isnan(found)) + 1]  # NaNs sort last
+    """np.unique of a 1-D sequence, by the path that neither hashes nor
+    imports numpy.ma: with return_counts, np.unique sorts."""
+    return np.unique(values, return_counts=True)[0]
 
 
 def _quantile(values: np.ndarray, q: float | Sequence[float]) -> np.ndarray:

@@ -468,6 +468,54 @@ def test_correlate_writes_nothing_when_an_output_cannot_open(
         assert good.read_text(encoding="utf-8") == "kept\n"
 
 
+CORRELATE_THREE = ["correlate", "--input", "three.csv", "--group-by", "genre",
+                   "--trend-degree", "1", "--trend-replicates", "0"]
+
+
+def test_two_outputs_on_one_new_file_leave_no_file(tmp_path, monkeypatch,
+                                                   capsys):
+    (tmp_path / "three.csv").write_text(THREE_GENRES, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = run([*CORRELATE_THREE, "--output", "same.csv",
+                "--trend-out", "./same.csv"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: OSError: 'same.csv' and "
+                                   "'./same.csv' are one file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["three.csv"]
+
+
+def test_an_output_hard_linked_to_the_other_keeps_its_bytes(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    (tmp_path / "three.csv").write_text(THREE_GENRES, encoding="utf-8")
+    (tmp_path / "kept.csv").write_bytes(b"kept\n")
+    os.link(tmp_path / "kept.csv", tmp_path / "link.csv")
+    monkeypatch.chdir(tmp_path)
+    code = run([*CORRELATE_THREE, "--output", "kept.csv",
+                "--trend-out", "link.csv"])
+    assert code == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["error: OSError: 'kept.csv' and 'link.csv' are one file"]
+    assert (tmp_path / "kept.csv").read_bytes() == b"kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="needs /dev/stdout")
+def test_an_output_on_the_file_stdout_writes_is_an_error(tmp_path):
+    # Standard output is a regular file, and the trend names it again.
+    (tmp_path / "three.csv").write_text(THREE_GENRES, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    with open(out, "wb") as stdout:
+        proc = cli_process([*CORRELATE_THREE, "--trend-out", "/dev/stdout"],
+                           cwd=tmp_path, stdout=stdout,
+                           stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.splitlines() == ["error: OSError: standard output and "
+                                "'/dev/stdout' are one file"]
+    assert out.read_bytes() == b""
+
+
 def test_correlate_trend_without_band_writes_the_fit(tmp_path):
     path = tmp_path / "three.csv"
     path.write_text(THREE_GENRES, encoding="utf-8")
@@ -600,6 +648,17 @@ BOUNDARY_CASES = {
     "missing-group-column": (
         ["estimate", "--input", "sessions.csv", "--group-by", "nope"], {}, 1,
         "'nope'"),
+    # An empty option value is a path or a column name like any other.
+    "empty-output": (
+        ["estimate", "--input", "sessions.csv", "--output", ""], {}, 1,
+        "No such file or directory: ''"),
+    "empty-trend-out": (
+        ["correlate", "--input", "sessions.csv", "--group-by", "sample_id",
+         "--trend-out", "", "--trend-degree", "1", "--trend-replicates", "0"],
+        {}, 1, "No such file or directory: ''"),
+    "empty-group-by": (
+        ["report", "--input", "sessions.csv", "--group-by", ""], {}, 1,
+        "no group column ''"),
     "empty-sizes": (
         ["accumulate", "--input", "sessions.csv", "--sizes", ","], {}, 1,
         "InvalidSize"),

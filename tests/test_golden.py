@@ -103,8 +103,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_matches_golden(case, tmp_path, monkeypatch):
+def assert_matches_golden(case, tmp_path, monkeypatch):
     argv, outputs = CASES[case]
     for src in (GOLDEN / "inputs").iterdir():
         shutil.copy(src, tmp_path / src.name)
@@ -112,3 +111,16 @@ def test_output_matches_golden(case, tmp_path, monkeypatch):
     assert run(argv) == 0
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, tmp_path, monkeypatch):
+    assert_matches_golden(case, tmp_path, monkeypatch)
+
+
+# Seeded output is the same at every SILENTSPECIES_THREADS value; one
+# thread runs the resampling kernels without a worker pool.
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden_on_one_thread(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("SILENTSPECIES_THREADS", "1")
+    assert_matches_golden(case, tmp_path, monkeypatch)

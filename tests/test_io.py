@@ -302,16 +302,15 @@ def test_table_rows_read_back(table):
 
 
 def distinct(draw, labels):
-    """Distinct labels for a Column, and the empty label's code."""
-    labels = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
-    return labels, labels.index("") if "" in labels else -1
+    """Distinct labels for a Column."""
+    return draw(st.lists(labels, min_size=1, max_size=5, unique=True))
 
 
 @st.composite
 def long_tables(draw):
     """An Observations table of 2-3 chunks: a drawn run of rows repeated."""
-    samples, sample_empty = distinct(draw, st.one_of(st.just(""), raw_labels))
-    species, species_empty = distinct(draw, raw_labels)
+    samples = distinct(draw, st.one_of(st.just(""), raw_labels))
+    species = distinct(draw, raw_labels)
     pattern = draw(st.lists(st.tuples(
         st.integers(0, len(samples) - 1),
         st.integers(0, len(species) - 1),
@@ -322,8 +321,8 @@ def long_tables(draw):
     sample_codes, species_codes, counts = np.resize(
         np.array(pattern, dtype=np.int64), (n, 3)).T
     return Observations.of(
-        {"sample_id": Column(samples, sample_codes, sample_empty),
-         "species_id": Column(species, species_codes, species_empty)},
+        {"sample_id": Column(samples, sample_codes),
+         "species_id": Column(species, species_codes)},
         counts, np.arange(1, n + 1))
 
 
