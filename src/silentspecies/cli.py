@@ -15,14 +15,15 @@ The parser needs no numpy: each handler imports the layers it runs, so
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shlex
 import stat
 import sys
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from io import TextIOWrapper
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from .choices import (
     ABUNDANCE,
@@ -206,14 +207,14 @@ def _regular_file(f: TextIO) -> tuple[int, int] | None:
     return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
 
-def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
-    """Write each (path, emit) output through `emit` to the file at `path`,
-    or to stdout when `path` is None. Every path is opened once, before any
-    is written; when one cannot be opened, or two outputs are one regular
-    file, the files this call created are removed and nothing is written.
-    A regular file is truncated just before it is written; a FIFO or a
-    device is written as it is."""
-    if sys.stdout is None and any(path is None for path, _ in outputs):
+@contextmanager
+def _open_outputs(paths: list[str | None]) -> Iterator[list[TextIO]]:
+    """The file at each path, or stdout for None, opened once for writing
+    and not truncated, before the command reads its input. When one cannot
+    be opened, two are one regular file, or anything later fails, the files
+    this call created are removed; an existing file keeps its bytes until
+    its output is written."""
+    if sys.stdout is None and None in paths:
         raise OSError("standard output is closed")  # descriptor 1 was closed
     created: list[str] = []
     with ExitStack() as stack:
@@ -222,48 +223,60 @@ def _write(*outputs: tuple[str | None, Callable[[TextIO], None]]) -> None:
                 sys.stdout if path is None else
                 stack.enter_context(open(_open_output(path, created), "w",
                                          encoding="utf-8", newline="\n"))
-                for path, _ in outputs
+                for path in paths
             ]
             named: dict[tuple[int, int], str] = {}
-            for (path, _), f in zip(outputs, files):
+            for path, f in zip(paths, files):
                 name = "standard output" if path is None else repr(path)
                 key = _regular_file(f)
                 if key in named:
                     raise OSError(f"{named[key]} and {name} are one file")
                 if key is not None:
                     named[key] = name
-        except OSError:
+            yield files
+        except BaseException:
             for path in created:
                 os.remove(path)
             raise
-        for (_, emit), f in zip(outputs, files):
-            if f is sys.stdout:
-                try:
-                    emit(f)
-                    f.flush()
-                except BrokenPipeError:
-                    # The reader stopped early, as `head` does: not an
-                    # error. Point stdout at devnull so that the flush at
-                    # exit does not fail again.
-                    devnull = os.open(os.devnull, os.O_WRONLY)
-                    os.dup2(devnull, f.fileno())
-                    os.close(devnull)
-                continue
-            with f:  # closed before the next output, which may be this file
-                if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                    os.ftruncate(f.fileno(), 0)
+
+
+# Each handler computes its results and returns one Emit per output path:
+# `--output`, then `--trend-out` when given.
+Emit = Callable[[TextIO], None]
+
+
+def _write(files: list[TextIO], emits: list[Emit]) -> None:
+    """Write each output through its `emit`, in order. A regular file is
+    truncated just before it is written; a FIFO or a device is written as
+    it is."""
+    for f, emit in zip(files, emits, strict=True):
+        if f is sys.stdout:
+            try:
                 emit(f)
+                f.flush()
+            except BrokenPipeError:
+                # The reader stopped early, as `head` does: not an
+                # error. Point stdout at devnull so that the flush at
+                # exit does not fail again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, f.fileno())
+                os.close(devnull)
+            continue
+        with f:  # closed before the next output, which may be this file
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                os.ftruncate(f.fileno(), 0)
+            emit(f)
 
 
-def _cmd_tally(args, meta) -> None:
+def _cmd_tally(args, meta) -> list[Emit]:
     from . import io
     from .tally import spectrum, tally_records
 
     spec = spectrum(tally_records(_read_records(args), args.mode))
-    _write((args.output, lambda f: io.write_spectrum_csv(spec, f, meta)))
+    return [lambda f: io.write_spectrum_csv(spec, f, meta)]
 
 
-def _cmd_estimate(args, meta) -> None:
+def _cmd_estimate(args, meta) -> list[Emit]:
     from . import analysis, io
     from .tally import group_by, tally_records
 
@@ -289,21 +302,20 @@ def _cmd_estimate(args, meta) -> None:
         else:
             io.write_report_json(rows, f, meta)
 
-    _write((args.output, emit))
+    return [emit]
 
 
-def _cmd_accumulate(args, meta) -> None:
+def _cmd_accumulate(args, meta) -> list[Emit]:
     from . import io, resampling
     from .tally import tally_abundance
 
     tally = tally_abundance(_read_records(args))
     points = resampling.accumulate(tally, args.sizes, args.replicates,
                                    args.seed)
-    _write((args.output,
-            lambda f: io.write_accumulation_csv(points, f, meta)))
+    return [lambda f: io.write_accumulation_csv(points, f, meta)]
 
 
-def _cmd_bootstrap(args, meta) -> None:
+def _cmd_bootstrap(args, meta) -> list[Emit]:
     from . import io, resampling
     from .tally import tally_records
 
@@ -315,10 +327,10 @@ def _cmd_bootstrap(args, meta) -> None:
         seed=args.seed,
         small_sample_correction=args.correction,
     )
-    _write((args.output, lambda f: io.write_bootstrap_csv(results, f, meta)))
+    return [lambda f: io.write_bootstrap_csv(results, f, meta)]
 
 
-def _cmd_correlate(args, meta) -> None:
+def _cmd_correlate(args, meta) -> list[Emit]:
     from . import analysis, io
     from .stats import pearson, polyfit
     from .tally import group_by
@@ -326,20 +338,17 @@ def _cmd_correlate(args, meta) -> None:
     dataset = group_by(_read_records(args), args.group_by, args.mode)
     xs, ys = analysis.group_xy(dataset, args.x, args.y, args.correction)
     result = pearson(xs, ys)
-    fit = None
-    if args.trend_out is not None:  # first: a failing fit leaves no file
+    emits = [lambda f: io.write_correlation_csv(result, args.x, args.y, f,
+                                                meta)]
+    if args.trend_out is not None:  # fitted now: a failing fit cuts no file
         fit = polyfit(xs, ys, args.trend_degree,
                       bootstrap_replicates=args.trend_replicates,
                       seed=args.seed)
-    outputs = [(args.output, lambda f: io.write_correlation_csv(
-        result, args.x, args.y, f, meta))]
-    if fit is not None:
-        outputs.append((args.trend_out,
-                        lambda f: io.write_trend_csv(fit, xs, f, meta)))
-    _write(*outputs)
+        emits.append(lambda f: io.write_trend_csv(fit, xs, f, meta))
+    return emits
 
 
-def _cmd_synth(args, meta) -> None:
+def _cmd_synth(args, meta) -> list[Emit]:
     from . import io, synth
 
     spec = synth.PopulationSpec(
@@ -357,7 +366,7 @@ def _cmd_synth(args, meta) -> None:
         )
     else:
         tables = [synth._token_table(population, args.tokens, args.seed)]
-    _write((args.output, lambda f: io.write_record_blocks(tables, f, meta)))
+    return [lambda f: io.write_record_blocks(tables, f, meta)]
 
 
 def _diagnose(line: str) -> None:
@@ -389,10 +398,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     from . import io
 
     meta = io.metadata("silentspecies " + shlex.join(argv), args.seed)
+    paths = [args.output]
+    if getattr(args, "trend_out", None) is not None:
+        paths.append(args.trend_out)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            args.handler(args, meta)
+            with _open_outputs(paths) as files:
+                _write(files, args.handler(args, meta))
         except (SilentSpeciesError, OSError, ValueError, MemoryError) as exc:
             # numpy raises a private subclass of MemoryError: named as its base
             name = ("MemoryError" if isinstance(exc, MemoryError)
@@ -403,7 +416,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    # One process runs one command, and no command makes a reference cycle
+    # per record, site or replicate: the collector stays off, and the heap
+    # is frozen so that exit does not collect what the imports built.
+    # run() leaves the collector alone for in-process callers.
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
+import gc
 import io as stdio
 import json
 import os
 import re
 import select
+import shutil
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -15,9 +18,11 @@ import pytest
 
 import silentspecies
 from silentspecies import ObservationRecord
-from silentspecies import synth
+from silentspecies import resampling, synth
 from silentspecies.cli import run
 from silentspecies.io import write_record_blocks
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 # About 400 KB of output, more than a pipe buffer holds.
 LARGE_SYNTH = ["synth", "--distribution", "zipf", "--species", "5000",
@@ -210,6 +215,104 @@ def test_reader_closing_stdout_early_is_not_an_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_console_entry_writes_what_run_writes(capsys):
+    # main() exits with the heap frozen and the collector off: the whole
+    # output still reaches the pipe.
+    assert run(LARGE_SYNTH) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    proc = cli_process(LARGE_SYNTH, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert len(out) > 1 << 16
+    assert out == expected
+
+
+# Computing commands run in one process, as a library caller or a test
+# runs them, each with its exit code.
+IN_PROCESS_RUNS = [
+    (["tally", "--input", "abundance.csv", "--output", "tally.csv"], 0),
+    (["estimate", "--input", "grouped.csv", "--mode", "incidence",
+      "--format", "json"], 0),
+    (["report", "--input", "grouped.csv", "--group-by", "genre",
+      "--output", "report.md"], 0),
+    (["accumulate", "--input", "abundance.csv", "--sizes", "100,500",
+      "--replicates", "20", "--output", "accumulate.csv"], 0),
+    (["bootstrap", "--input", "abundance.csv", "--replicates", "100",
+      "--output", "bootstrap.csv"], 0),
+    (["bootstrap", "--input", "grouped.csv", "--mode", "incidence",
+      "--replicates", "100"], 0),
+    (["correlate", "--input", "grouped.csv", "--group-by", "genre",
+      "--trend-replicates", "20", "--output", "c.csv", "--trend-out",
+      "t.csv"], 0),
+    (["synth", "--species", "50", "--sites", "20", "--output", "s.csv"], 0),
+    (["synth", "--species", "50", "--tokens", "500"], 0),
+    (["estimate", "--input", "missing.csv", "--output", "e.csv"], 1),
+    (["correlate", "--input", "grouped.csv", "--group-by", "genre",
+      "--trend-degree", "9", "--output", "c9.csv", "--trend-out",
+      "t9.csv"], 1),
+]
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    for src in GOLDEN_INPUTS.iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_run_leaves_the_collector_alone(golden_inputs, capsys):
+    # Only main() turns the collector off and freezes the heap.
+    for argv, code in IN_PROCESS_RUNS:
+        assert run(argv) == code
+        assert gc.isenabled() and gc.get_freeze_count() == 0, argv
+
+
+def test_no_command_leaves_a_file_for_the_collector(golden_inputs, capsys):
+    # main() exits with the heap frozen, so nothing at exit would close and
+    # flush a file that a cycle kept open.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv, code in IN_PROCESS_RUNS:
+            assert run(argv) == code
+            gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+    assert "unclosed" not in capsys.readouterr().err
+
+
+# (argv, the value of its last flag at a small and at a large size)
+GARBAGE_PAIRS = {
+    "synth-sites": (["synth", "--distribution", "zipf", "--species", "500",
+                     "--output", os.devnull, "--sites"], "200", "2000"),
+    "bootstrap": (["bootstrap", "--input", str(GOLDEN_INPUTS / "grouped.csv"),
+                   "--output", os.devnull, "--replicates"], "100", "1000"),
+    "correlate-trend": (["correlate", "--input",
+                         str(GOLDEN_INPUTS / "grouped.csv"), "--group-by",
+                         "genre", "--output", os.devnull, "--trend-out",
+                         os.devnull, "--trend-replicates"], "20", "200"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBAGE_PAIRS))
+def test_cyclic_garbage_does_not_grow_with_the_input(case, capsys):
+    # main() runs a command with the collector off, which is safe while no
+    # command makes a reference cycle per record, site or replicate.
+    argv, small, large = GARBAGE_PAIRS[case]
+    assert run([*argv, small]) == 0  # imports what the command needs
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for size in (small, large):
+            assert run([*argv, size]) == 0
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found[0] == found[1]
 
 
 CORRELATE_TREND_FILE = ["correlate", "--input", "three.csv", "--group-by",
@@ -468,6 +571,22 @@ def test_correlate_writes_nothing_when_an_output_cannot_open(
         assert good.read_text(encoding="utf-8") == "kept\n"
 
 
+def test_an_output_that_cannot_open_is_named_before_the_run(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bootstrap_ci called")
+
+    monkeypatch.setattr(resampling, "bootstrap_ci", refuse)
+    code = run(["bootstrap", "--input", str(GOLDEN_INPUTS / "grouped.csv"),
+                "--replicates", "20000",
+                "--output", str(tmp_path / "nodir" / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FileNotFoundError")
+    assert list(tmp_path.iterdir()) == []
+
+
 CORRELATE_THREE = ["correlate", "--input", "three.csv", "--group-by", "genre",
                    "--trend-degree", "1", "--trend-replicates", "0"]
 
@@ -482,6 +601,20 @@ def test_two_outputs_on_one_new_file_leave_no_file(tmp_path, monkeypatch,
     assert capsys.readouterr() == ("", "error: OSError: 'same.csv' and "
                                    "'./same.csv' are one file\n")
     assert [p.name for p in tmp_path.iterdir()] == ["three.csv"]
+
+
+@pytest.mark.filterwarnings("always")  # as a fresh interpreter shows them
+def test_two_outputs_on_one_file_are_named_before_the_trend_band(
+        tmp_path, monkeypatch, capsys):
+    # The band's 200 replicates would warn that one is left out.
+    shutil.copy(GOLDEN_INPUTS / "grouped.csv", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = run(["correlate", "--input", "grouped.csv", "--group-by", "genre",
+                "--output", "same.csv", "--trend-out", "./same.csv"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: OSError: 'same.csv' and "
+                                   "'./same.csv' are one file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["grouped.csv"]
 
 
 def test_an_output_hard_linked_to_the_other_keeps_its_bytes(tmp_path,
@@ -909,6 +1042,11 @@ MALFORMED_FILES = {
     "undecodable-header": (b"sample_id,species_id,c\xe9\nm1,a,1\n",
                            ["--stdin"],
                            "row 1: undecodable byte 0xe9 in the header"),
+    # The outputs are opened before the input is read.
+    "bad-row-and-output-in-missing-dir": (
+        HEADER + "m1,a,1\nm1,b,two\n",
+        ["--output", os.path.join(os.sep, "no-such-dir", "x.csv")],
+        "FileNotFoundError"),
 }
 
 

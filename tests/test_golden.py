@@ -8,11 +8,15 @@ comparisons (acceptance criterion 8) cannot see a refactor that changes
 results consistently; these files can.
 """
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import silentspecies
 from silentspecies.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,14 +107,21 @@ CASES = {
 }
 
 
-def assert_matches_golden(case, tmp_path, monkeypatch):
-    argv, outputs = CASES[case]
+def copy_inputs(tmp_path):
     for src in (GOLDEN / "inputs").iterdir():
         shutil.copy(src, tmp_path / src.name)
-    monkeypatch.chdir(tmp_path)
-    assert run(argv) == 0
-    for name in outputs:
+
+
+def assert_outputs_match(case, tmp_path):
+    for name in CASES[case][1]:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def assert_matches_golden(case, tmp_path, monkeypatch):
+    copy_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run(CASES[case][0]) == 0
+    assert_outputs_match(case, tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -124,3 +135,19 @@ def test_output_matches_golden(case, tmp_path, monkeypatch):
 def test_output_matches_golden_on_one_thread(case, tmp_path, monkeypatch):
     monkeypatch.setenv("SILENTSPECIES_THREADS", "1")
     assert_matches_golden(case, tmp_path, monkeypatch)
+
+
+# The console entry, main(), runs with the cyclic collector off and exits
+# with the heap frozen; its files must hold the same bytes.
+@pytest.mark.parametrize("case", ["bootstrap-abundance", "correlate",
+                                  "synth-sites-full"])
+def test_console_entry_matches_golden(case, tmp_path):
+    copy_inputs(tmp_path)
+    src = str(Path(silentspecies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "silentspecies.cli", *CASES[case][0]],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert_outputs_match(case, tmp_path)
