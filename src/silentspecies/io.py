@@ -80,11 +80,18 @@ def read_records(f: TextIO) -> Observations:
         raise SchemaError("long-format CSV: missing species_id column")
     width = len(header)
     count_col = header.index("count") if "count" in header else None
-    # name -> (field index, label -> code, per-record codes), in header order
-    columns = {h: (i, {}, []) for i, h in enumerate(header) if h != "count"}
-    species_col = columns["species_id"][0]
+    # name -> (field index, text -> code, labels in code order, per-record
+    # codes), in header order. Each dict maps every field text seen, and
+    # every stripped label, to the label's code: a text equal to a label
+    # has no outer whitespace, so it is that label. Only a text not seen
+    # before is stripped and judged.
+    columns = {h: (i, {}, [], []) for i, h in enumerate(header)
+               if h != "count"}
+    species_col, species_ids, species_labels, species_codes = (
+        columns["species_id"])
     # A row's labels are judged species_id first, then in header order.
-    interned = sorted(columns.items(), key=lambda c: c[0] != "species_id")
+    others = [(name, *column) for name, column in columns.items()
+              if name != "species_id"]
     counts: list[int] = []
     parsed: dict[str, int] = {}  # count text -> count; counts repeat a lot
     # Typed: a list would hold a distinct int object per record, 4.5 times
@@ -106,31 +113,55 @@ def read_records(f: TextIO) -> Observations:
                 continue
             count = 1
             if count_col is not None:
-                text = row[count_col].strip()
-                if text:
-                    count = parsed.get(text)
-                    if count is None:
-                        count = parsed[text] = _parse_count(start, text)
-            if not row[species_col].strip():
-                if any(map(str.strip, row)):
-                    raise SchemaError(f"row {start}: empty species_id")
-                continue
-            for name, (i, ids, codes) in interned:
-                label = row[i].strip()
-                code = ids.get(label)
-                if code is None:  # a new label: checked once, not per field
-                    _check_decoded(start, repr(name), label)
-                    code = ids[label] = len(ids)
+                text = row[count_col]
+                count = parsed.get(text)
+                if count is None:
+                    digits = text.strip()
+                    count = parsed[text] = (
+                        _parse_count(start, digits) if digits else 1)
+            text = row[species_col]
+            code = species_ids.get(text)
+            if code is None:  # a blank text is never stored: judged each time
+                if not text.strip():
+                    if any(map(str.strip, row)):
+                        raise SchemaError(f"row {start}: empty species_id")
+                    continue
+                code = _intern(start, "species_id", text, species_ids,
+                               species_labels)
+            species_codes.append(code)
+            for name, i, ids, labels, codes in others:
+                text = row[i]
+                code = ids.get(text)
+                if code is None:
+                    code = _intern(start, name, text, ids, labels)
                 codes.append(code)
             counts.append(count)
             rows.append(start)
     except csv.Error as exc:
         raise SchemaError(f"row {line + 1}: {exc}") from None
     return Observations.of(
-        {h: Column.of(ids, codes) for h, (_, ids, codes) in columns.items()},
+        {h: Column(labels, np.asarray(codes, dtype=np.int64))
+         for h, (_, _, labels, codes) in columns.items()},
         counts,
         rows,
     )
+
+
+def _intern(row: int, name: str, text: str, ids: dict[str, int],
+            labels: list[str]) -> int:
+    """The code of the stripped label of a field text not seen before in
+    its column, stored under the text too. A new label is checked once for
+    undecodable bytes, and only when it is not ASCII: every character that
+    errors="surrogateescape" puts for a byte is non-ASCII."""
+    label = text.strip()
+    code = ids.get(label)
+    if code is None:
+        if not label.isascii():
+            _check_decoded(row, repr(name), label)
+        code = ids[label] = len(labels)
+        labels.append(label)
+    ids[text] = code
+    return code
 
 
 def _parse_count(row: int, text: str) -> int:

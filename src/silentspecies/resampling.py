@@ -10,6 +10,7 @@ results are always reduced in replicate-index order.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -114,10 +115,25 @@ def _replicates(draw: Callable[[np.random.Generator], np.ndarray],
     if workers <= 1:
         share(0)
         return rows
-    from concurrent.futures import ThreadPoolExecutor
+    # One thread per share: concurrent.futures would also load logging,
+    # queue and traceback, where numpy has already loaded threading.
+    errors: list[BaseException | None] = [None] * workers
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(share, range(workers)))  # raises a worker's error
+    def run(w: int) -> None:
+        try:
+            share(w)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for error in errors:  # the lowest-numbered worker's, as pool.map raises
+        if error is not None:
+            raise error
     return rows
 
 

@@ -131,14 +131,12 @@ def layers(*names: str) -> set[str]:
 # (CLI arguments after the input, modules the command must not import)
 COMMANDS = {
     "report": (["report", "--group-by", "genre"],
-               layers("resampling", "stats", "synth")
-               | {"concurrent.futures"}),
+               layers("resampling", "stats", "synth")),
     "estimate": (["estimate"], layers("resampling", "stats", "synth")),
     "tally": (["tally"], layers("resampling", "stats", "synth")),
     "report-incidence": (["report", "--mode", "incidence", "--group-by",
                           "genre"],
-                         layers("resampling", "stats", "synth")
-                         | {"concurrent.futures"}),
+                         layers("resampling", "stats", "synth")),
     "estimate-incidence": (["estimate", "--mode", "incidence"],
                            layers("resampling", "stats", "synth")),
     "tally-incidence": (["tally", "--mode", "incidence"],
@@ -147,28 +145,26 @@ COMMANDS = {
                   layers("stats", "synth", "analysis")),
     "bootstrap-incidence": (["bootstrap", "--mode", "incidence",
                              "--replicates", "100"],
-                            layers("stats", "synth", "analysis")
-                            | {"concurrent.futures"}),
+                            layers("stats", "synth", "analysis")),
     "accumulate": (["accumulate", "--sizes", "2,4", "--replicates", "100"],
                    layers("stats", "synth", "analysis")),
     # The trend band draws on `streams`, which imports neither.
     "correlate-incidence": (["correlate", "--mode", "incidence",
                              "--group-by", "genre", "--trend-out",
                              os.devnull],
-                            layers("resampling", "synth")
-                            | {"concurrent.futures"}),
+                            layers("resampling", "synth")),
     # Without a band the trend file's grid is the sorted distinct x alone.
     "correlate-no-band": (["correlate", "--group-by", "genre",
                            "--trend-replicates", "0", "--trend-out",
                            os.devnull],
-                          layers("resampling", "synth")
-                          | {"concurrent.futures"}),
+                          layers("resampling", "synth")),
 }
 # No successful command imports decimal: only the error for a count beyond
 # int64 needs it. Nor numpy.ma, which np.unique and np.quantile import and
 # which costs over 1 MB: the package's own `_unique` and `_quantile` stand
-# in for them.
-NEVER = {"decimal", "numpy.ma"}
+# in for them. Nor concurrent.futures or logging: the resampling workers
+# are plain threads.
+NEVER = {"concurrent.futures", "decimal", "logging", "numpy.ma"}
 
 # Top-level import name -> the installed distributions that provide it. The
 # stdlib, and Cython's `_cython_*` and `cython_runtime` modules, have none.
@@ -221,7 +217,7 @@ def test_each_command_imports_only_its_layers(case, tiny_csv,
 # synth reads no CSV, so it does not load the array module that
 # read_records collects row numbers in.
 SYNTH_FORBIDDEN = (layers("resampling", "stats", "analysis", "estimators")
-                   | {"concurrent.futures", "array"} | NEVER)
+                   | {"array"} | NEVER)
 
 
 def test_synth_imports_only_its_layers(needs_only_numpy):

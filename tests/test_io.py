@@ -179,6 +179,28 @@ class TestReadRecords:
         assert records[0].sample_id == "m1"
         assert records[0].species_id == "a"
 
+    @pytest.mark.parametrize("text, column", [
+        ("sample_id,species_id\nm1,a\nm2, \udcff \nm3,\udcff\n",
+         "species_id"),
+        ("sample_id,species_id\nm1,a\n \udcff ,b\n\udcff,c\n", "sample_id"),
+    ], ids=["species_id", "sample_id"])
+    def test_undecodable_label_first_seen_padded_names_that_row(self, text,
+                                                                column):
+        with pytest.raises(SchemaError, match=(
+                f"^row 3: undecodable byte 0xff in '{column}'$")):
+            parse(text)
+
+    def test_blank_species_id_named_after_a_skipped_row_of_that_text(self):
+        # Row 3 is blank and skipped; row 4 holds the same species_id text
+        # beside a sample and a count.
+        with pytest.raises(SchemaError, match="^row 4: empty species_id$"):
+            parse("sample_id,species_id,count\nm1,a,1\n , , \nm2, ,1\n")
+
+    def test_padded_and_zero_padded_counts(self):
+        obs = read_records(stdio.StringIO(
+            "sample_id,species_id,count\nm1,a, 2\nm2,a,2 \nm3,a,02\nm4,a,2\n"))
+        assert obs.counts.tolist() == [2, 2, 2, 2]
+
 
 class TestReadHistogram:
     """A species_id,count histogram is a long-format file without
@@ -341,3 +363,84 @@ def test_records_writer_matches_table_rows(obs):
     # As lines: pytest reports the first differing line of a list, quickly.
     assert (buf.getvalue().splitlines(keepends=True)
             == expected.getvalue().splitlines(keepends=True))
+
+
+# Outer whitespace as a field may carry it: none, spaces, tabs or a mix.
+pads = st.sampled_from(["", " ", "\t", "  ", " \t", "\t "])
+# Labels that need CSV quoting, span lines or are not ASCII; a label can
+# hold inner spaces and, being drawn with outer newlines, strip to another.
+padded_labels = st.text(alphabet='ab ,"\n\u00e9', min_size=1, max_size=3)
+
+
+@st.composite
+def padded_tables(draw):
+    """The text of a long-format CSV and the file line each of its rows
+    starts on. Each field spells one of a few labels (or a count) with outer
+    spaces and tabs, so one label has several spellings. Counts may be
+    zero-padded or blank; some rows are empty lines or hold only
+    whitespace."""
+    header = draw(st.permutations(["sample_id", "species_id", "count",
+                                   "genre"]))
+    labels = {h: draw(st.lists(padded_labels.filter(str.strip)
+                               if h == "species_id"
+                               else st.one_of(st.just(""), padded_labels),
+                               min_size=1, max_size=4, unique=True))
+              for h in header if h != "count"}
+
+    def field(h):
+        if h == "count":
+            value = draw(st.one_of(st.just(""), st.builds(
+                lambda zeros, n: "0" * zeros + str(n),
+                st.integers(0, 3), st.integers(0, 10**6))))
+        else:
+            value = draw(st.sampled_from(labels[h]))
+        return draw(pads) + value + draw(pads)
+
+    rows = [[draw(pads) + h + draw(pads) for h in header]]
+    for kind in draw(st.lists(st.sampled_from(["data"] * 4 + ["blank",
+                                                               "empty"]),
+                              max_size=30)):
+        if kind == "data":
+            rows.append([field(h) for h in header])
+        elif kind == "blank":
+            rows.append([draw(pads) for _ in header])
+        else:
+            rows.append([])
+    buf = stdio.StringIO(newline="")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    starts = [1]
+    for row in rows:
+        starts.append(starts[-1] + 1 + sum(f.count("\n") for f in row))
+    return buf.getvalue(), starts[1:-1]
+
+
+def reference_read(text, starts):
+    """What read_records returns, by csv.reader, str.strip and
+    first-appearance interning: labels and codes per column, counts and
+    rows."""
+    reader = csv.reader(stdio.StringIO(text, newline=""))
+    header = [h.strip() for h in next(reader)]
+    ids = {h: {} for h in header if h != "count"}
+    codes = {h: [] for h in ids}
+    counts, rows = [], []
+    for row, start in zip(reader, starts, strict=True):
+        fields = dict(zip(header, map(str.strip, row)))
+        if not any(fields.values()):
+            continue
+        for h in ids:
+            codes[h].append(ids[h].setdefault(fields[h], len(ids[h])))
+        counts.append(int(fields["count"] or 1))
+        rows.append(start)
+    return {h: list(ids[h]) for h in ids}, codes, counts, rows
+
+
+@given(padded_tables())
+def test_read_records_matches_reference(table):
+    text, starts = table
+    obs = read_records(stdio.StringIO(text, newline=""))
+    labels, codes, counts, rows = reference_read(text, starts)
+    assert {h: column.labels for h, column in obs.columns.items()} == labels
+    assert {h: column.codes.tolist()
+            for h, column in obs.columns.items()} == codes
+    assert obs.counts.tolist() == counts
+    assert obs.rows.tolist() == rows

@@ -234,6 +234,24 @@ def test_replicate_rows_do_not_depend_on_workers(replicates):
     assert rows[0][:, 0].tolist() == seen
 
 
+def test_the_lowest_numbered_failing_worker_raises():
+    # Workers 1 and 2 of 3 each fail on their one replicate, whichever
+    # thread ends first; replicate i is told apart by its stream's first
+    # draw.
+    first = {np.random.default_rng(np.random.SeedSequence(
+        11, spawn_key=(3, i))).integers(1 << 62): i for i in range(3)}
+
+    def draw(rng):
+        i = first[rng.integers(1 << 62)]
+        if i:
+            raise ValueError(f"replicate {i}")
+        return np.ones(4, dtype=np.int64)
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="^replicate 1$"):
+            resampling._replicates(draw, (3,), 11, 3, 3)
+
+
 def per_replicate_default_rng(seed, key, indices):
     """The streams the replicates promise, one new generator each."""
     for i in indices:
