@@ -45,7 +45,6 @@ _HOMES = {
     "generate": "synth",
     "group_by": "tally",
     "group_xy": "analysis",
-    "merge_tallies": "analysis",
     "pearson": "stats",
     "per_group_correlation": "analysis",
     "polyfit": "stats",

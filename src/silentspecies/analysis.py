@@ -4,7 +4,7 @@ total, and per-group diversity/coverage correlation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .choices import SORT_COLUMNS, X_COLUMNS, Y_COLUMNS, GroupReportRow, known
 from .errors import EmptyDataset
@@ -15,22 +15,6 @@ if TYPE_CHECKING:
     from .stats import RegressionResult
 
 TOTAL_KEY = "Total"
-
-
-def merge_tallies(tallies: Sequence[Tally]) -> Tally:
-    """Pool tallies of one mode: counts are summed per species and totals
-    are summed (in incidence mode, sampling sites are disjoint across
-    groups). Tallies of mixed modes raise ValueError."""
-    if not tallies:
-        raise EmptyDataset("nothing to merge")
-    modes = sorted({t.mode for t in tallies})
-    if len(modes) > 1:
-        raise ValueError(f"cannot merge tallies of modes {modes}")
-    counts: dict[str, int] = {}
-    for t in tallies:
-        for species, c in t.counts.items():
-            counts[species] = counts.get(species, 0) + c
-    return Tally(counts, sum(t.total for t in tallies), tallies[0].mode)
 
 
 def summarize(
@@ -57,10 +41,11 @@ def report(
     ascending: bool = False,
     small_sample_correction: bool = False,
 ) -> list[GroupReportRow]:
-    """One row per group plus a pooled Total row (estimated on the merged
-    tally, not by summing per-group estimates). The Total row is always
-    last; group rows are sorted by `sort_by`, one of SORT_COLUMNS, with
-    group-key tiebreak."""
+    """One row per group plus a Total row, estimated on the pooled tally of
+    all the grouped records (as `estimate` without --group-by tallies them),
+    not by summing per-group estimates. The Total row is always last; group
+    rows are sorted by `sort_by`, one of SORT_COLUMNS, with group-key
+    tiebreak."""
     known(sort_by, SORT_COLUMNS, "sort column")
     if not dataset.groups:
         raise EmptyDataset("grouped dataset has no groups")
@@ -70,8 +55,7 @@ def report(
     ]
     rows.sort(key=lambda row: (getattr(row, sort_by), row.group_key),
               reverse=not ascending)
-    pooled = merge_tallies([dataset.groups[k] for k in sorted(dataset.groups)])
-    rows.append(summarize(TOTAL_KEY, pooled, small_sample_correction))
+    rows.append(summarize(TOTAL_KEY, dataset.pooled, small_sample_correction))
     return rows
 
 

@@ -168,9 +168,12 @@ class Tally:
 
 @dataclass(frozen=True)
 class GroupedDataset:
-    """One tally per value of a grouping attribute (genre, composer, ...)."""
+    """One tally per value of a grouping attribute (genre, composer, ...),
+    and `pooled`, the tally of all the grouped records: a sample found in
+    several groups counts once in it."""
 
     groups: Mapping[str, Tally]
+    pooled: Tally
 
 
 def _observations(
@@ -325,19 +328,23 @@ def group_by(
     mode: str,
 ) -> GroupedDataset:
     """Partition records by the values of one column (any input column but
-    `count`, sample_id and species_id included) and tally each partition.
+    `count`, sample_id and species_id included) and tally each partition
+    and the whole table.
 
     A column the table lacks raises SchemaError. Every record must carry a
     value; a missing value raises SchemaError naming the row, as does any
     record the mode cannot tally. Groups whose records are all zero-count
-    are dropped. The table is checked once, and each group is tallied by
-    the same reduction as the whole table, over its records' index.
+    are dropped. The table is checked once, and the whole table and each
+    group are tallied by one reduction, over their records' index.
     """
     known(mode, MODES, "mode")
     obs = _observations(records)
     if group_field not in obs.columns and len(obs):  # no records, no groups
         raise SchemaError(f"the input has no group column {group_field!r}")
     _check(obs, mode, group_field)
+    if not (obs.counts > 0).any():
+        raise EmptyDataset("all groups empty after dropping zero counts")
+    pooled = _tally(obs, slice(None), mode)  # before the sort: a lower peak
     column = obs.column(group_field)
     # Group c's records are order[bounds[c]:bounds[c + 1]], in input order.
     order = np.argsort(column.codes, kind="stable")
@@ -348,6 +355,4 @@ def group_by(
         part = order[bounds[code]:bounds[code + 1]]
         if (obs.counts[part] > 0).any():  # else only zero-count placeholders
             groups[key] = _tally(obs, part, mode)
-    if not groups:
-        raise EmptyDataset("all groups empty after dropping zero counts")
-    return GroupedDataset(groups)
+    return GroupedDataset(groups, pooled)

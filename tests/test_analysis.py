@@ -1,54 +1,95 @@
+import dataclasses
 import io as stdio
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from silentspecies import (
     ABUNDANCE,
     INCIDENCE,
     DegenerateVariance,
-    GroupedDataset,
+    EmptyDataset,
+    InsufficientSamples,
     ObservationRecord,
     Tally,
     group_by,
     group_xy,
-    merge_tallies,
     per_group_correlation,
     report,
     summarize,
-    tally_abundance,
-    tally_incidence,
+    tally_records,
 )
+from silentspecies.cli import run
 from silentspecies.io import metadata, write_report_csv
 from silentspecies.synth import PopulationSpec, generate, sample
 
 
 def abundance_dataset(groups):
-    return GroupedDataset(
-        {k: Tally(counts, sum(counts.values()), ABUNDANCE) for k, counts in groups.items()},
-    )
+    """group_by of records holding {group: {species: count}}."""
+    records = [ObservationRecord(key, species, count, {"genre": key})
+               for key, counts in groups.items()
+               for species, count in counts.items()]
+    return group_by(records, "genre", ABUNDANCE)
 
 
-class TestMerge:
-    def test_abundance_counts_sum(self):
-        merged = merge_tallies(
-            [Tally({"a": 2, "b": 1}, 3, ABUNDANCE), Tally({"a": 1, "c": 4}, 5, ABUNDANCE)]
-        )
-        assert merged.counts == {"a": 3, "b": 1, "c": 4}
-        assert merged.total == 8
+# Three samples, each holding genres X and Y.
+SHARED_SAMPLES = [ObservationRecord(sample, species, 1, {"genre": genre})
+                  for sample, species, genre in [
+                      ("s1", "a", "X"), ("s1", "b", "Y"), ("s2", "a", "X"),
+                      ("s2", "c", "Y"), ("s3", "d", "X"), ("s3", "b", "Y")]]
 
-    def test_incidence_sites_are_disjoint(self):
-        merged = merge_tallies(
-            [Tally({"a": 2}, 3, INCIDENCE), Tally({"a": 1, "b": 1}, 4, INCIDENCE)]
-        )
-        assert merged.counts == {"a": 3, "b": 1}
-        assert merged.total == 7
+grouped_records = st.lists(
+    st.builds(
+        ObservationRecord,
+        sample_id=st.sampled_from(["m1", "m2", "m3", "m4"]),
+        species_id=st.sampled_from(list("abcde")),
+        count=st.integers(min_value=0, max_value=3),
+        attrs=st.fixed_dictionaries({"genre": st.sampled_from(["X", "Y"])}),
+    ),
+    max_size=30,
+)
 
-    def test_mixed_modes_refused(self):
-        # Token counts and sample counts do not add up to either.
-        records = [ObservationRecord("m1", "a", 2), ObservationRecord("m2", "a"),
-                   ObservationRecord("m1", "b", 2)]
-        with pytest.raises(ValueError, match="'abundance', 'incidence'"):
-            merge_tallies([tally_abundance(records), tally_incidence(records)])
+
+@given(grouped_records, st.sampled_from([ABUNDANCE, INCIDENCE]),
+       st.booleans())
+@example(SHARED_SAMPLES, INCIDENCE, False)
+@example(SHARED_SAMPLES, INCIDENCE, True)
+def test_report_total_is_the_ungrouped_tally(records, mode, correction):
+    # A sample that falls in several groups counts once in the Total.
+    def grouped_report():
+        return report(group_by(records, "genre", mode),
+                      small_sample_correction=correction)
+
+    try:
+        want = summarize("Total", tally_records(records, mode), correction)
+    except (EmptyDataset, InsufficientSamples) as error:
+        with pytest.raises(type(error)):
+            grouped_report()
+        return
+    try:
+        rows = grouped_report()
+    except InsufficientSamples:  # a group of one sample, corrected
+        assume(False)
+    assert rows[-1] == want
+
+
+@pytest.mark.parametrize("flags, total", [
+    ([], "Total,4,3,0.750,2,2,0.800,5.000,chao2,0"),
+    (["--correction"], "Total,4,3,0.750,2,2,0.857,4.667,chao2,0"),
+], ids=["plain", "corrected"])
+def test_report_counts_a_sample_of_several_groups_once(flags, total,
+                                                       tmp_path, capsys):
+    path = tmp_path / "shared.csv"
+    path.write_text("sample_id,species_id,count,genre\n" + "".join(
+        f"{r.sample_id},{r.species_id},{r.count},{r.attrs['genre']}\n"
+        for r in SHARED_SAMPLES))
+    common = ["--input", str(path), "--mode", INCIDENCE, "--format", "csv",
+              *flags]
+    assert run(["report", "--group-by", "genre", *common]) == 0
+    assert run(["estimate", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert total in lines
+    assert total.replace("Total", "all") in lines
 
 
 class TestReport:
@@ -110,6 +151,12 @@ class TestReport:
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
 
+    def test_no_groups_refused(self):
+        ds = dataclasses.replace(abundance_dataset({"g": {"a": 2}}), groups={})
+        with pytest.raises(EmptyDataset, match="^grouped dataset has no "
+                           "groups$"):
+            report(ds)
+
     def test_fallback_marker_in_row(self):
         ds = abundance_dataset({"g": {"a": 1, "b": 1}})  # f2 = 0
         rows = report(ds)
@@ -143,8 +190,9 @@ class TestPerGroupCorrelation:
 
     def test_one_minus_ttr_flips_sign(self):
         population = generate(PopulationSpec(80, "zipf", alpha=1.2))
-        ds = GroupedDataset(
-            {f"g{i}": sample(population, 400 + 150 * i, seed=i) for i in range(8)},
+        ds = abundance_dataset(
+            {f"g{i}": sample(population, 400 + 150 * i, seed=i).counts
+             for i in range(8)},
         )
         a = per_group_correlation(ds, x="ttr")
         b = per_group_correlation(ds, x="one-minus-ttr")

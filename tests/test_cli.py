@@ -792,6 +792,14 @@ BOUNDARY_CASES = {
     "empty-group-by": (
         ["report", "--input", "sessions.csv", "--group-by", ""], {}, 1,
         "no group column ''"),
+    # Zero replicates pass the parser and are refused by the layer (exit 1);
+    # a negative --trend-replicates is a usage error (exit 2).
+    "zero-replicates-bootstrap": (
+        ["bootstrap", "--input", "sessions.csv", "--replicates", "0"], {}, 1,
+        "InvalidSize"),
+    "zero-replicates-accumulate": (
+        ["accumulate", "--input", "sessions.csv", "--sizes", "2",
+         "--replicates", "0"], {}, 1, "InvalidSize"),
     "empty-sizes": (
         ["accumulate", "--input", "sessions.csv", "--sizes", ","], {}, 1,
         "InvalidSize"),
@@ -1006,6 +1014,13 @@ MALFORMED_FILES = {
                        "row 3: field larger than field limit"),
     "count-beyond-int64": (HEADER + f"m1,a,{2**63}\n", [],
                            "row 2: count 9223372036854775808 outside"),
+    "total-count-beyond-int64": (HEADER + f"m1,a,{2**62}\nm2,b,{2**62}\n", [],
+                                 "total count 9223372036854775808 exceeds "
+                                 "the int64 range"),
+    # Every group's total fits; the pooled Total's does not.
+    "grouped-total-count-beyond-int64": (
+        GROUPED + f"m1,a,{2**62},X\nm2,b,{2**62},Y\n", ["--group-by", "genre"],
+        "total count 9223372036854775808 exceeds the int64 range"),
     "count-of-5000-digits": (HEADER + "m1,a," + "9" * 5000 + "\n", [],
                              "row 2: count " + "9" * 40 + "... (5000 "
                              "characters) outside the int64 range\n"),

@@ -52,6 +52,11 @@ CASES = {
          "--output", "report_incidence.csv"],
         ["report_incidence.csv"],
     ),
+    "report-incidence-markdown": (  # the Samples and STR header
+        ["report", "--input", "grouped.csv", "--mode", "incidence",
+         "--group-by", "genre", "--output", "report_incidence.md"],
+        ["report_incidence.md"],
+    ),
     "bootstrap-abundance": (
         ["bootstrap", "--input", "abundance.csv", "--replicates", "200",
          "--seed", "3", "--output", "bootstrap_abundance.csv"],

@@ -26,7 +26,7 @@ class TestBetainc:
             scipy.special.betainc(a, b, x), abs=1e-12
         )
 
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.3, 2.7, 10.0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.3, 2.7, 10.0, math.inf])
     @pytest.mark.parametrize("df", [1, 2, 5, 10, 100])
     def test_t_tail_against_scipy(self, t, df):
         assert t_sf_two_sided(t, df) == pytest.approx(
@@ -374,6 +374,22 @@ def test_x_and_y_must_be_one_dimensional_of_equal_length(fit, x, y):
     with pytest.raises(ValueError, match=r"^x and y must be 1-d sequences "
                                          r"of equal length$"):
         fit(x, y)
+
+
+# (call, text of the ValueError): arguments outside a function's domain.
+OUT_OF_DOMAIN = {
+    "polyfit-degree-0": (lambda: polyfit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0),
+                         "^degree must be >= 1, got 0$"),
+    "betainc-x-above-1": (lambda: betainc(1.0, 1.0, 1.5),
+                          r"^x must be in \[0,1\], got 1.5$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_argument_out_of_domain_raises_value_error(case):
+    call, message = OUT_OF_DOMAIN[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_trailing_zero_coefficients_are_positive_zeros():
